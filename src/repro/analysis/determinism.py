@@ -23,18 +23,9 @@ quietly breaks it:
 - ``DT006`` a raw timer read (``time.perf_counter()`` and friends)
   inside a subsystem that owns an *audited clock*, anywhere other than
   that clock module.  The bench harness must read time only through
-  ``repro/bench/clock.py`` (:func:`repro.bench.clock.perf_clock`), and
-  the dispatch layer -- which legitimately needs wall time for
-  liveness deadlines, never for results -- only through
-  ``repro/parallel/dispatch/clock.py``; one reader per subsystem is
-  what lets tests substitute a fake clock.  Outside those subsystems
-  the same reads stay ``DT003``.
-- ``DT007`` raw iteration over a node registry's ``.nodes`` mapping
-  (``for n in registry.nodes`` / ``.items()`` / ``.values()``) inside
-  the dispatch layer: insertion order is *registration* order, which
-  is a race between connecting workers and differs run to run.  Use
-  the registry's sorted accessors (``sorted_nodes()``/``idle_nodes()``)
-  or ``sorted(...)``, which launders.
+  ``repro/bench/clock.py`` (:func:`repro.bench.clock.perf_clock`); one
+  reader per subsystem is what lets tests substitute a fake clock.
+  Outside those subsystems the same reads stay ``DT003``.
 
 Suppress a finding by appending ``# repro-lint: ignore`` to its line.
 
@@ -75,16 +66,11 @@ SUPPRESS_MARK = "repro-lint: ignore"
 
 #: the audited clock modules: the only files of their subsystems allowed
 #: to read the host clock (everything else must call through them)
-AUDITED_TIMER_FILES = (
-    "repro/bench/clock.py",
-    "repro/parallel/dispatch/clock.py",
-)
+AUDITED_TIMER_FILES = ("repro/bench/clock.py",)
 
 #: subsystems with an audited clock: raw timer reads there are DT006
 _AUDITED_SUBSYSTEMS = (
     ("repro/bench/", "repro.bench.clock.perf_clock"),
-    ("repro/parallel/dispatch/",
-     "repro.parallel.dispatch.clock.monotonic_clock"),
 )
 
 _WALL_CLOCK = {
@@ -183,7 +169,6 @@ class _FileLinter(ast.NodeVisitor):
         for prefix, clock_api in _AUDITED_SUBSYSTEMS:
             if norm.startswith(prefix):
                 self._audited_clock_api = clock_api
-        self._in_dispatch = norm.startswith("repro/parallel/dispatch/")
         self._audited_timer = norm in AUDITED_TIMER_FILES
 
     # -- helpers -----------------------------------------------------------
@@ -197,8 +182,8 @@ class _FileLinter(ast.NodeVisitor):
         """Route a raw timer read to DT003 or DT006 by location.
 
         Inside a subsystem that owns an audited clock (the bench
-        harness, the dispatch layer) the read is legitimate *only* in
-        that clock module; elsewhere in the subsystem it is DT006.
+        harness) the read is legitimate *only* in that clock module;
+        elsewhere in the subsystem it is DT006.
         Everywhere else it remains the DT003 host-timing leak.
         """
         if self._audited_clock_api is not None:
@@ -285,33 +270,6 @@ class _FileLinter(ast.NodeVisitor):
                 "not a stable order; key by tid or sort explicitly",
             )
 
-    def _check_nodes_iteration(self, iter_node: ast.AST) -> None:
-        """DT007 for raw iteration over a ``.nodes`` registry mapping.
-
-        Scoped to the dispatch layer, where ``.nodes`` insertion order
-        is worker *registration* order -- a race between connecting
-        processes.  ``sorted(x.nodes)`` never fires (the iterated node
-        is the ``sorted`` call, not the attribute).
-        """
-        if not self._in_dispatch:
-            return
-        target = iter_node
-        if (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Attribute)
-            and iter_node.func.attr in ("items", "keys", "values")
-        ):
-            target = iter_node.func.value
-        if isinstance(target, ast.Attribute) and target.attr == "nodes":
-            self._emit(
-                "DT007",
-                iter_node.lineno,
-                "iterating a registry's .nodes mapping follows worker "
-                "registration order, which races run to run; use the "
-                "sorted accessors (sorted_nodes()/idle_nodes()) or "
-                "sorted(...)",
-            )
-
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.generic_visit(node)
 
@@ -362,7 +320,6 @@ class _FileLinter(ast.NodeVisitor):
                 "sorted(...) if order can reach results or scheduling",
             )
         self._check_id_dict_iteration(node.iter)
-        self._check_nodes_iteration(node.iter)
         self.generic_visit(node)
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
@@ -374,7 +331,6 @@ class _FileLinter(ast.NodeVisitor):
                 "sorted(...) if order can reach results or scheduling",
             )
         self._check_id_dict_iteration(node.iter)
-        self._check_nodes_iteration(node.iter)
         self.generic_visit(node)
 
 

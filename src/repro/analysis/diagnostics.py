@@ -36,14 +36,11 @@ DT005   warning   id-keyed-dict-iteration: iterating a dict keyed by
                   ``id(...)`` -- insertion order follows memory layout,
                   which is not stable across runs
 DT006   error     unaudited-timer: a raw wall-clock read inside a
-                  subsystem with an audited clock (``repro/bench``,
-                  ``repro/parallel/dispatch``) outside that clock
-                  module -- timing must flow through the subsystem's
-                  one audited reader
-DT007   warning   registration-order-iteration: raw iteration over a
-                  dispatch node registry's ``.nodes`` mapping --
-                  insertion order is worker registration order, a
-                  race; use the sorted accessors
+                  subsystem with an audited clock (``repro/bench``)
+                  outside that clock module -- timing must flow
+                  through the subsystem's one audited reader
+DT007   retired   linted a socket-cluster registry that no longer
+                  exists; the code is not reused
 MC001   error     unpredicted-deadlock: the model checker reached a
                   deadlock that the lock-order pass does not predict
 MC002   error     sync-order-violation: non-FIFO mutex/semaphore handoff
@@ -94,7 +91,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "DT004": ("warning", "unordered-iteration"),
     "DT005": ("warning", "id-keyed-dict-iteration"),
     "DT006": ("error", "unaudited-timer"),
-    "DT007": ("warning", "registration-order-iteration"),
     "MC001": ("error", "unpredicted-deadlock"),
     "MC002": ("error", "sync-order-violation"),
     "MC003": ("error", "result-divergence"),

@@ -50,7 +50,6 @@ from repro.analysis.mc.properties import PropertyChecker, default_checkers
 from repro.machine.configs import SMALL
 from repro.machine.smp import Machine
 from repro.parallel import (
-    ClusterConfig,
     ProgressFn,
     ResultCache,
     Shard,
@@ -362,9 +361,7 @@ def explore_all(
     chaos: bool = True,
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
-    backend: str = "local",
     cache: Optional[ResultCache] = None,
-    cluster: Optional[ClusterConfig] = None,
 ) -> Tuple[List[ExplorationResult], List[Diagnostic]]:
     """Explore every (or the named) registered fixture.
 
@@ -372,9 +369,8 @@ def explore_all(
     (fixture name, budget, dpor, chaos), so with ``jobs > 1`` fixtures
     run on a :mod:`repro.parallel` process pool; the merge re-sorts by
     fixture order and the final report is bit-identical to ``jobs=1``.
-    ``backend="cluster"`` ships fixtures to dispatch worker nodes and
     ``cache`` skips fixtures whose fingerprinted exploration is already
-    on disk (docs/PARALLEL.md) -- neither can change the report.
+    on disk (docs/PARALLEL.md) -- it cannot change the report.
     """
     names = list(fixtures) if fixtures else sorted(FIXTURES)
     shards = [
@@ -388,10 +384,7 @@ def explore_all(
         )
         for i, name in enumerate(names)
     ]
-    outcomes = run_shards(
-        shards, jobs=jobs, progress=progress,
-        backend=backend, cache=cache, cluster=cluster,
-    )
+    outcomes = run_shards(shards, jobs=jobs, progress=progress, cache=cache)
     results: List[ExplorationResult] = []
     diagnostics: List[Diagnostic] = []
     for sub_results, sub_diags in merged_values(outcomes):

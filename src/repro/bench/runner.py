@@ -22,13 +22,7 @@ from typing import (
 from repro.bench.clock import Clock, perf_clock
 from repro.bench.registry import Benchmark, get_benchmark, suite_benchmarks
 from repro.bench.stats import RepeatPolicy, Stats, collect
-from repro.parallel import (
-    ClusterConfig,
-    Shard,
-    ShardOutcome,
-    merged_values,
-    run_shards,
-)
+from repro.parallel import Shard, ShardOutcome, merged_values, run_shards
 
 T = TypeVar("T")
 
@@ -108,17 +102,14 @@ def run_suite(
     policy: Optional[RepeatPolicy] = None,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
-    backend: str = "local",
-    cluster: Optional[ClusterConfig] = None,
 ) -> SuiteResult:
     """Run every benchmark of ``suite``; KeyError when the suite is
     empty/unknown.
 
     With ``jobs > 1`` benchmarks run on a :mod:`repro.parallel` process
     pool, one shard per benchmark, merged back into registry order.
-    ``backend="cluster"`` sends each shard to a dispatch worker node
-    instead; benchmarks never use the result cache -- a cached timing
-    would report the machine state of a past run.  Parallel workers
+    Benchmarks never use the result cache -- a cached timing would
+    report the machine state of a past run.  Parallel workers
     always time through the audited ``perf_clock``, so a custom
     ``clock`` (the tests' fake clocks) forces the serial path; note
     that co-scheduled benchmarks can contend for cores, so gating
@@ -142,10 +133,7 @@ def run_suite(
             if progress is not None:
                 progress(outcome.shard.key.split("/", 1)[1])
 
-        outcomes = run_shards(
-            shards, jobs=jobs, progress=_progress,
-            backend=backend, cluster=cluster,
-        )
+        outcomes = run_shards(shards, jobs=jobs, progress=_progress)
         return SuiteResult(suite=suite, results=tuple(merged_values(outcomes)))
     results = []
     for bench in benches:

@@ -16,17 +16,16 @@ Commands:
   verification (MC001-MC005);
 - ``bench``      the performance-regression harness: ``run`` a suite to
   ``BENCH_<suite>.json``, ``compare`` two result files with noise-aware
-  thresholds, ``update-baseline`` to re-record a checked-in baseline;
-- ``dispatch worker``  join a running cluster coordinator as a shard
-  worker node (what an SSH launcher runs on each remote host).
+  thresholds, ``update-baseline`` to re-record a checked-in baseline.
 
 The sweep commands (``faults run``, ``experiment``, ``mc``,
 ``bench run``) take ``--jobs N`` to shard over a process pool via
 :mod:`repro.parallel`; output is bit-identical to ``--jobs 1``
-(docs/PARALLEL.md).  ``--backend cluster`` routes the same shards
-through the fault-tolerant dispatch layer instead of the local pool,
-and ``--cache-dir`` (not on ``bench``) makes the sweep resumable via
-the content-addressed result cache -- neither changes the output.
+(docs/PARALLEL.md).  ``--cache-dir`` (not on ``bench``) makes the
+sweep resumable via the content-addressed result cache without
+changing the output.  ``--backend`` always names the cache backend
+(``sim`` or ``analytic``, docs/MODEL.md) of the commands that run
+simulations: ``run``, ``compare``, ``trace`` and ``experiment``.
 
 Everything except ``bench`` (which measures host wall time) is
 deterministic given ``--seed``.
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,6 +63,19 @@ _PARAMS = {
     "server": ServerParams,
 }
 
+
+class _Experiment(NamedTuple):
+    """One ``experiment`` entry.
+
+    ``run(jobs=, backend=, cache=)`` returns the report text.  Entries
+    with ``analytic=False`` run on the sim backend only, and the command
+    refuses ``--backend analytic`` for them rather than ignore it.
+    """
+
+    run: Callable[..., str]
+    analytic: bool = False
+
+
 _EXPERIMENTS = {}
 
 
@@ -73,48 +85,21 @@ def _shard_progress(outcome, done, total) -> None:
     retries = (
         f" [attempt {outcome.attempts}]" if outcome.attempts > 1 else ""
     )
-    where = f" @{outcome.node}" if outcome.node else ""
     print(
-        f"  [{done}/{total}] {outcome.shard.key}: {status}{retries}{where}",
+        f"  [{done}/{total}] {outcome.shard.key}: {status}{retries}",
         file=sys.stderr,
     )
 
 
-def _dispatch_kwargs(args):
-    """``backend``/``cache``/``cluster`` kwargs from the common flags.
+def _result_cache(args):
+    """The ``--cache-dir`` result cache shared by the sweep commands."""
+    from repro.parallel import ResultCache
 
-    Shared by every sweep command that grew ``--backend``/``--cache-dir``
-    so the flags mean the same thing everywhere; ``--chaos-kill`` (fault
-    campaign only, for the dispatch-chaos CI job) configures the cluster
-    to kill that many of its own spawned workers mid-run.
-    """
-    from repro.parallel import ClusterConfig, ResultCache
-
-    cache = None
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        cache = ResultCache(cache_dir)
-    cluster = None
-    chaos_kill = getattr(args, "chaos_kill", 0)
-    if chaos_kill:
-        cluster = ClusterConfig(
-            chaos_kill=chaos_kill,
-            max_respawns=max(2, 2 * chaos_kill),
-        )
-    return {
-        "backend": getattr(args, "backend", "local"),
-        "cache": cache,
-        "cluster": cluster,
-    }
+    return ResultCache(args.cache_dir) if args.cache_dir else None
 
 
 def _experiment_registry():
-    """Lazy experiment table (imports are heavy enough to defer).
-
-    Every entry takes the ``--jobs`` value plus the dispatch kwargs
-    (``backend``/``cache``/``cluster``); all but the sharded sweeps
-    ignore them.
-    """
+    """Lazy experiment table (imports are heavy enough to defer)."""
     if _EXPERIMENTS:
         return _EXPERIMENTS
     from repro.experiments.fig4 import run_fig4
@@ -138,7 +123,7 @@ def _experiment_registry():
         run_offline_comparison,
     )
 
-    def fig4_text(jobs=1, **dispatch):
+    def fig4_text(**_):
         panels = run_fig4()
         rows = [
             (panel, curve.label, 100.0 * curve.mean_relative_error)
@@ -149,38 +134,39 @@ def _experiment_registry():
             ["panel", "curve", "rel.err %"], rows, title="Figure 4"
         )
 
+    def figure(run, fmt):
+        return _Experiment(
+            lambda backend, **_: fmt(run(backend=backend)), analytic=True
+        )
+
     _EXPERIMENTS.update(
         {
-            "fig4": fig4_text,
-            "fig5": lambda jobs=1, machine_backend="sim", **kw: format_fig5(
-                run_fig5(backend=machine_backend)
+            "fig4": _Experiment(fig4_text),
+            "fig5": figure(run_fig5, format_fig5),
+            "fig6": figure(run_fig6, format_fig6),
+            "fig7": figure(run_fig7, format_fig7),
+            "fig8": figure(run_fig8, format_fig8),
+            "fig9": figure(run_fig9, format_fig9),
+            "table3": _Experiment(lambda **_: format_table3(run_table3())),
+            "table5": _Experiment(lambda **_: format_table5(run_table5())),
+            "fairness": _Experiment(
+                lambda **_: format_fairness_sweep(run_fairness_sweep())
             ),
-            "fig6": lambda jobs=1, machine_backend="sim", **kw: format_fig6(
-                run_fig6(backend=machine_backend)
-            ),
-            "fig7": lambda jobs=1, machine_backend="sim", **kw: format_fig7(
-                run_fig7(backend=machine_backend)
-            ),
-            "fig8": lambda jobs=1, machine_backend="sim", **kw: format_fig8(
-                run_fig8(backend=machine_backend)
-            ),
-            "fig9": lambda jobs=1, machine_backend="sim", **kw: format_fig9(
-                run_fig9(backend=machine_backend)
-            ),
-            "table3": lambda jobs=1, **kw: format_table3(run_table3()),
-            "table5": lambda jobs=1, **kw: format_table5(run_table5()),
-            "fairness": lambda jobs=1, **kw: format_fairness_sweep(
-                run_fairness_sweep()
-            ),
-            "inference": lambda jobs=1, **kw: format_inference_comparison(
-                run_inference_comparison()
-            ),
-            "offline": lambda jobs=1, **kw: format_offline_comparison(
-                run_offline_comparison(
-                    jobs=jobs,
-                    progress=_shard_progress if jobs > 1 else None,
-                    **kw,
+            "inference": _Experiment(
+                lambda **_: format_inference_comparison(
+                    run_inference_comparison()
                 )
+            ),
+            "offline": _Experiment(
+                lambda jobs, backend, cache: format_offline_comparison(
+                    run_offline_comparison(
+                        jobs=jobs,
+                        progress=_shard_progress if jobs > 1 else None,
+                        cache=cache,
+                        backend=backend,
+                    )
+                ),
+                analytic=True,
             ),
         }
     )
@@ -329,12 +315,24 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from repro.machine.backend import DEFAULT_BACKEND
+
     registry = _experiment_registry()
+    experiment = registry[args.name]
+    if args.backend != DEFAULT_BACKEND and not experiment.analytic:
+        print(
+            "repro experiment: %s runs on the %s backend only; "
+            "--backend %s is supported by %s"
+            % (
+                args.name, DEFAULT_BACKEND, args.backend,
+                ", ".join(n for n, e in registry.items() if e.analytic),
+            ),
+            file=sys.stderr,
+        )
+        return 2
     print(
-        registry[args.name](
-            jobs=args.jobs,
-            machine_backend=getattr(args, "machine_backend", "sim"),
-            **_dispatch_kwargs(args),
+        experiment.run(
+            jobs=args.jobs, backend=args.backend, cache=_result_cache(args)
         )
     )
     return 0
@@ -378,7 +376,7 @@ def _cmd_faults_run(args) -> int:
         engine=args.engine,
         jobs=args.jobs,
         progress=_shard_progress if args.jobs > 1 else None,
-        **_dispatch_kwargs(args),
+        cache=_result_cache(args),
     )
     print(format_campaign(rows))
     return 0 if all(r.ok for r in rows) else 1
@@ -619,7 +617,7 @@ def _cmd_mc(args) -> int:
         chaos=not args.no_chaos,
         jobs=args.jobs,
         progress=_shard_progress if args.jobs > 1 else None,
-        **_dispatch_kwargs(args),
+        cache=_result_cache(args),
     )
     stats = None
     if not args.skip_model:
@@ -670,7 +668,6 @@ def _cmd_bench_run(args) -> int:
         args.suite,
         progress=lambda name: print(f"  running {name} ...", file=sys.stderr),
         jobs=args.jobs,
-        backend=args.backend,
     )
     out = args.out or default_baseline_path(args.suite)
     write_suite(out, result)
@@ -777,25 +774,8 @@ def _cmd_lint(args) -> int:
     return 1 if found else 0
 
 
-def _cmd_dispatch_worker(args) -> int:
-    from repro.parallel.dispatch import worker
-
-    argv = ["--connect", args.connect]
-    if args.node_id:
-        argv += ["--node-id", args.node_id]
-    if args.chaos:
-        argv += ["--chaos", args.chaos]
-    return worker.main(argv)
-
-
 def _add_backend_flag(p) -> None:
-    """The ``--backend`` flag of the simulation-running commands.
-
-    Not to be confused with the sweep commands' dispatch ``--backend``
-    (local/cluster): there the shards run the same simulation elsewhere;
-    here the *cache model itself* changes.  The ``experiment`` command
-    has both, so its cache-model flag is spelled ``--machine-backend``.
-    """
+    """The ``--backend`` flag of the simulation-running commands."""
     from repro.machine.backend import BACKEND_NAMES, DEFAULT_BACKEND
 
     p.add_argument(
@@ -820,20 +800,13 @@ def _add_engine_flag(p) -> None:
     )
 
 
-def _add_dispatch_flags(p, with_cache=True) -> None:
-    """The ``--backend``/``--cache-dir`` flags every sweep command shares."""
+def _add_cache_flag(p) -> None:
+    """The ``--cache-dir`` flag the cached sweep commands share."""
     p.add_argument(
-        "--backend", choices=("local", "cluster"), default="local",
-        help="shard dispatch backend: this host's process pool, or the "
-        "fault-tolerant cluster layer (docs/PARALLEL.md); output is "
-        "bit-identical either way",
+        "--cache-dir", dest="cache_dir", metavar="DIR",
+        help="content-addressed result cache directory: finished "
+        "cells are skipped on re-run (resumable sweeps)",
     )
-    if with_cache:
-        p.add_argument(
-            "--cache-dir", dest="cache_dir", metavar="DIR",
-            help="content-addressed result cache directory: finished "
-            "cells are skipped on re-run (resumable sweeps)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -899,14 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for sharded sweeps (offline); results are "
         "bit-identical to --jobs 1",
     )
-    _add_dispatch_flags(exp_p)
-    exp_p.add_argument(
-        "--machine-backend", dest="machine_backend",
-        choices=("sim", "analytic"), default="sim",
-        help="cache backend for the simulated runs (--backend here "
-        "already means shard dispatch): 'analytic' prices misses with "
-        "the closed-form reuse-distance model (docs/MODEL.md)",
-    )
+    _add_cache_flag(exp_p)
+    _add_backend_flag(exp_p)
     exp_p.set_defaults(func=_cmd_experiment)
 
     faults_p = sub.add_parser(
@@ -944,14 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes ((workload, policy) pairs fan out; the "
         "merged table is bit-identical to --jobs 1)",
     )
-    _add_dispatch_flags(faults_run_p)
-    faults_run_p.add_argument(
-        "--chaos-kill", dest="chaos_kill", type=int, default=0,
-        metavar="N",
-        help="testing only (--backend cluster): kill N spawned workers "
-        "after their first result to exercise reassignment; the merged "
-        "table must still be bit-identical (the dispatch-chaos CI job)",
-    )
+    _add_cache_flag(faults_run_p)
     faults_run_p.set_defaults(func=_cmd_faults_run)
 
     analyze_p = sub.add_parser(
@@ -1090,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (fixtures fan out; the merged report is "
         "bit-identical to --jobs 1)",
     )
-    _add_dispatch_flags(mc_p)
+    _add_cache_flag(mc_p)
     mc_p.set_defaults(func=_cmd_mc)
 
     bench_p = sub.add_parser(
@@ -1117,7 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
         "contend, so gate comparisons serially)",
     )
     # no --cache-dir: a cached timing would report a past machine state
-    _add_dispatch_flags(bench_run_p, with_cache=False)
     bench_run_p.set_defaults(func=_cmd_bench_run)
 
     bench_cmp_p = bench_sub.add_parser(
@@ -1156,31 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_up_p.set_defaults(func=_cmd_bench_update)
 
-    dispatch_p = sub.add_parser(
-        "dispatch",
-        help="cluster dispatch plumbing (docs/PARALLEL.md)",
-    )
-    dispatch_sub = dispatch_p.add_subparsers(
-        dest="dispatch_command", required=True
-    )
-    worker_p = dispatch_sub.add_parser(
-        "worker",
-        help="attach this host to a running coordinator as a worker node "
-        "(what an SSH launcher runs remotely)",
-    )
-    worker_p.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address printed/configured by the sweep command",
-    )
-    worker_p.add_argument(
-        "--node-id",
-        help="node id to register as (default: worker-<pid>)",
-    )
-    worker_p.add_argument(
-        "--chaos", default="",
-        help="testing only: seeded kill points, e.g. 'die-after-results:1'",
-    )
-    worker_p.set_defaults(func=_cmd_dispatch_worker)
     return parser
 
 

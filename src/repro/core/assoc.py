@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import stats
 
 ArrayLike = Union[int, float, np.ndarray]
 
@@ -76,6 +75,9 @@ class AssociativeStateModel:
         The binomial tail P(Binom(n, 1/S) <= W-1); reduces to k**n for
         the direct-mapped case.
         """
+        # deferred: scipy is optional, and only this model needs it
+        from scipy import stats
+
         n = np.asarray(misses, dtype=float)
         if np.any(n < 0):
             raise ValueError("miss counts must be non-negative")

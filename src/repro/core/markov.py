@@ -26,7 +26,6 @@ form in :mod:`repro.core.model`.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def dependent_transition_matrix(num_lines: int, q: float) -> np.ndarray:
@@ -157,6 +156,9 @@ def stationary_distribution(num_lines: int, q: float) -> np.ndarray:
     probability ``q``, so the resident count is Binomial(N, q) -- whose
     mean ``q*N`` is exactly the closed form's asymptote.
     """
+    # deferred: scipy is optional, and only this function needs it
+    from scipy import stats
+
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"sharing coefficient must be in [0, 1], got {q}")
     return stats.binom.pmf(np.arange(num_lines + 1), num_lines, q)

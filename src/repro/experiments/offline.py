@@ -30,7 +30,6 @@ import numpy as np
 from repro.machine.configs import ULTRA1
 from repro.machine.smp import Machine
 from repro.parallel import (
-    ClusterConfig,
     ProgressFn,
     ResultCache,
     Shard,
@@ -51,10 +50,10 @@ from repro.workloads import MONITORED_APPS
 
 
 def _offline_shard(
-    app: str, seed: int, machine_backend: str = "sim"
+    app: str, seed: int, backend: str = "sim"
 ) -> Dict[str, float]:
     """Worker entry point: the sweep for one monitored app."""
-    return _run_one_app(app, seed, machine_backend=machine_backend)
+    return _run_one_app(app, seed, backend=backend)
 
 
 def run_offline_comparison(
@@ -62,42 +61,32 @@ def run_offline_comparison(
     seed: int = 0,
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
-    backend: str = "local",
     cache: Optional[ResultCache] = None,
-    cluster: Optional[ClusterConfig] = None,
-    machine_backend: str = "sim",
+    backend: str = "sim",
 ) -> Dict[str, Dict[str, float]]:
     """Per app: observed-vs-model MAE, observed-vs-replay MAE, and costs.
 
     Each app's run is independent given (app, seed), so with
     ``jobs > 1`` the sweep fans out through :mod:`repro.parallel`; the
     merge reassembles the dict in ``apps`` order, bit-identical to the
-    serial sweep.  ``backend="cluster"`` runs apps on dispatch worker
-    nodes and ``cache`` resumes an interrupted sweep from the on-disk
-    result cache -- neither can change the merged report.
+    serial sweep.  ``cache`` resumes an interrupted sweep from the
+    on-disk result cache -- it cannot change the merged report.
 
-    ``backend`` here selects *dispatch* (local/cluster);
-    ``machine_backend`` selects the *cache* backend (sim/analytic, see
-    docs/MODEL.md "The analytic backend") and is part of each shard's
-    cache key so cached sim results never answer an analytic sweep.
+    ``backend`` selects the cache backend (sim/analytic, see
+    docs/MODEL.md "The analytic backend") and is a shard parameter, so
+    it is part of each shard's cache fingerprint: cached sim results
+    never answer an analytic sweep.
     """
     shards = [
         Shard(
             index=i,
-            key=f"offline/{machine_backend}/{name}",
+            key=f"offline/{backend}/{name}",
             fn="repro.experiments.offline:_offline_shard",
-            params={
-                "app": name,
-                "seed": seed,
-                "machine_backend": machine_backend,
-            },
+            params={"app": name, "seed": seed, "backend": backend},
         )
         for i, name in enumerate(apps)
     ]
-    outcomes = run_shards(
-        shards, jobs=jobs, progress=progress,
-        backend=backend, cache=cache, cluster=cluster,
-    )
+    outcomes = run_shards(shards, jobs=jobs, progress=progress, cache=cache)
     return {
         name: metrics
         for name, metrics in zip(apps, merged_values(outcomes))
@@ -105,14 +94,14 @@ def run_offline_comparison(
 
 
 def _run_one_app(
-    name: str, seed: int, machine_backend: str = "sim"
+    name: str, seed: int, backend: str = "sim"
 ) -> Dict[str, float]:
     """The three-way comparison for one app (see the module docstring)."""
     app = MONITORED_APPS[name]()
     config = ULTRA1
-    machine = Machine(config, seed=seed, backend=machine_backend)
+    machine = Machine(config, seed=seed, backend=backend)
     runtime = Runtime(machine, FCFSScheduler(model_scheduler_memory=False))
-    if machine_backend == "analytic":
+    if backend == "analytic":
         tracer = _AnalyticFootprintProbe(machine)
     else:
         tracer = FootprintTracer(machine)

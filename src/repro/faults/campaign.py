@@ -29,13 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.faults.plan import EXPECTS_TIMEOUT, FAULT_CLASSES, FaultPlan
 from repro.machine.configs import SMALL, MachineConfig
-from repro.parallel import (
-    ClusterConfig,
-    ProgressFn,
-    ResultCache,
-    Shard,
-    run_shards,
-)
+from repro.parallel import ProgressFn, ResultCache, Shard, run_shards
 from repro.sched import SCHEDULERS
 from repro.sim.driver import (
     HardenedResult,
@@ -250,9 +244,7 @@ def run_campaign(
     jobs: int = 1,
     partial: bool = False,
     progress: Optional[ProgressFn] = None,
-    backend: str = "local",
     cache: Optional[ResultCache] = None,
-    cluster: Optional[ClusterConfig] = None,
     engine: str = "stepped",
 ) -> List[CampaignRow]:
     """Run the full fault matrix; returns one row per cell.
@@ -272,20 +264,17 @@ def run_campaign(
     (after its retry) is reported as one synthetic ``SHARD-FAILED`` row
     instead of aborting the whole campaign.
 
-    ``backend="cluster"`` ships the pairs to dispatch worker nodes
-    (docs/PARALLEL.md): nodes may die mid-campaign and the merged rows
-    are still bit-identical (the ``dispatch-chaos`` CI job kills one
-    on purpose).  ``cache`` makes the campaign resumable: pairs whose
-    fingerprint already has a stored result are not re-executed.
+    ``cache`` makes the campaign resumable (docs/PARALLEL.md): pairs
+    whose fingerprint already has a stored result are not re-executed.
     """
     if fault_classes is None:
         fault_classes = list(FAULT_CLASSES)
     fault_classes = list(fault_classes)
 
     if workloads is not None or watchdog_factory is not None:
-        if jobs > 1 or backend != "local" or cache is not None:
+        if jobs > 1 or cache is not None:
             raise ValueError(
-                "parallel/cluster/cached campaigns shard by name: pass "
+                "parallel/cached campaigns shard by name: pass "
                 "scale/workload_names instead of live workloads/watchdog "
                 "factories"
             )
@@ -322,8 +311,7 @@ def run_campaign(
         engine=engine,
     )
     outcomes = run_shards(
-        shards, jobs=jobs, partial=partial, progress=progress,
-        backend=backend, cache=cache, cluster=cluster,
+        shards, jobs=jobs, partial=partial, progress=progress, cache=cache,
     )
     rows = []
     for outcome in outcomes:

@@ -18,7 +18,7 @@ change invalidates the whole cache rather than risking a stale result
 This is what makes campaigns resumable: a killed run re-executes only
 the cells whose results never made it to disk, and a warm re-run of an
 unchanged campaign executes zero cells (asserted by the cache tests
-and the ``dispatch-chaos`` CI job).
+and the warm-cache campaign test in ``tests/parallel/test_golden.py``).
 
 Failure semantics: the cache *never* turns a run into a failure.  An
 unreadable or corrupt entry is a miss; an unwritable store is dropped

@@ -3,19 +3,12 @@
 ``run_shards`` executes a list of :class:`~repro.parallel.shard.Shard`
 cells and returns one :class:`~repro.parallel.shard.ShardOutcome` per
 shard, **sorted by shard index** -- never by completion order -- so the
-caller sees exactly what a serial loop would have produced.  Three
-execution paths share that contract:
-
-- ``backend="local", jobs=1`` -- inline, in index order;
-- ``backend="local", jobs>1`` -- a process pool on this host;
-- ``backend="cluster"``      -- the fault-tolerant dispatch layer
-  (:mod:`repro.parallel.dispatch`): socket worker nodes with heartbeat
-  liveness, per-shard retry with decorrelated-jitter backoff,
-  work-stealing from slow nodes, and graceful degradation back to the
-  local pool when no workers register or the cluster dies mid-run.
+caller sees exactly what a serial loop would have produced.  There is
+one execution path with two shapes: inline in index order for
+``jobs=1``, a process pool on this host for ``jobs>1``.
 
 Orthogonally, ``cache=`` plugs in a content-addressed result cache
-(:class:`~repro.parallel.dispatch.cache.ResultCache`): shards whose
+(:class:`~repro.parallel.cache.ResultCache`): shards whose
 fingerprint (callable path, canonical params, code version) already has
 a stored result are *not executed at all* -- their outcomes come back
 ``cached=True`` with ``attempts == 0`` -- and fresh ok results are
@@ -32,8 +25,7 @@ Failure semantics (see ``docs/PARALLEL.md``):
   breaks the pool; the engine rebuilds the pool and re-runs every shard
   whose result had not been collected, charging each an attempt --
   the pool cannot say which shard killed it, so the charge is
-  conservative (the cluster backend *can* attribute deaths, and charges
-  only the dead node's own shards);
+  conservative;
 - shards still failing after their retry budget become ``failed``
   outcomes; with ``partial=False`` (the default) the run then raises
   :class:`~repro.parallel.shard.ShardError` listing them, with
@@ -48,8 +40,7 @@ run under the existing :class:`~repro.sim.driver.Watchdog` step
 budgets, which turn a livelock into a typed diagnostic deterministically
 (the same number of simulated events every run) -- a wall-clock kill
 here would make results depend on host timing, which the determinism
-lint (DT003) exists to prevent.  (The *cluster* backend does use wall
-time, but only to judge node health -- never to decide results.)
+lint (DT003) exists to prevent.
 """
 
 from __future__ import annotations
@@ -57,30 +48,15 @@ from __future__ import annotations
 import logging
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.parallel.cache import ResultCache
 from repro.parallel.shard import Shard, ShardError, ShardOutcome, execute_shard
-
-if TYPE_CHECKING:
-    from repro.parallel.dispatch.cache import ResultCache
-    from repro.parallel.dispatch.coordinator import ClusterConfig
 
 logger = logging.getLogger("repro.parallel")
 
 #: progress callback: (finished outcome, shards finished, shards total)
 ProgressFn = Callable[[ShardOutcome, int, int], None]
-
-#: the pluggable dispatch backends ``run_shards`` accepts
-BACKENDS = ("local", "cluster")
 
 #: worker payload statuses (in-worker exceptions travel as values so an
 #: application error never breaks the pool)
@@ -114,13 +90,7 @@ def _check_shards(shards: Sequence[Shard]) -> List[Shard]:
 
 
 class _Run:
-    """Mutable bookkeeping for one ``run_shards`` invocation.
-
-    Doubles as the sink the cluster coordinator drives (see the
-    ``_RunSink`` protocol in ``repro.parallel.dispatch.coordinator``),
-    so attempt accounting and progress reporting are identical across
-    backends.
-    """
+    """Mutable bookkeeping for one ``run_shards`` invocation."""
 
     def __init__(
         self,
@@ -138,13 +108,9 @@ class _Run:
         self.finished = 0
         self._progress_fault_logged = False
 
-    def charge(self, shard: Shard, crashed: bool = False) -> int:
-        """Record one attempt (and optionally one crash); returns the
-        attempts used so far."""
+    def charge(self, shard: Shard) -> None:
+        """Record one attempt."""
         self.attempts[shard.index] = self.attempts.get(shard.index, 0) + 1
-        if crashed:
-            self.crashes[shard.index] = self.crashes.get(shard.index, 0) + 1
-        return self.attempts[shard.index]
 
     def exhausted(self, shard: Shard) -> bool:
         return self.attempts.get(shard.index, 0) > self.retries
@@ -153,9 +119,6 @@ class _Run:
         """Append one failed attempt's error to the shard's audit
         trail (``ShardOutcome.history``)."""
         self.errors.setdefault(shard.index, []).append(message)
-
-    def is_finalized(self, shard: Shard) -> bool:
-        return shard.index in self.outcomes
 
     def _report(self, outcome: ShardOutcome) -> None:
         """Invoke the progress callback with faults isolated.
@@ -184,7 +147,6 @@ class _Run:
         status: str,
         value: Any,
         error: str,
-        node: str = "",
         cached: bool = False,
     ) -> None:
         outcome = ShardOutcome(
@@ -195,7 +157,6 @@ class _Run:
             attempts=self.attempts.get(shard.index, 1 if not cached else 0),
             worker_crashes=self.crashes.get(shard.index, 0),
             history=tuple(self.errors.get(shard.index, ())),
-            node=node,
             cached=cached,
         )
         self.outcomes[shard.index] = outcome
@@ -205,7 +166,7 @@ class _Run:
     def finalize_cached(self, shard: Shard, value: Any) -> None:
         """Settle a shard from the result cache: zero executions."""
         self.attempts[shard.index] = 0
-        self.finalize(shard, "ok", value, "", node="cache", cached=True)
+        self.finalize(shard, "ok", value, "", cached=True)
 
 
 def _run_serial(ordered: Sequence[Shard], run: _Run) -> None:
@@ -214,12 +175,11 @@ def _run_serial(ordered: Sequence[Shard], run: _Run) -> None:
             run.charge(shard)
             status, payload = _worker(shard)
             if status == _OK:
-                run.finalize(shard, "ok", payload, "", node="local")
+                run.finalize(shard, "ok", payload, "")
                 break
             run.record_error(shard, str(payload))
             if run.exhausted(shard):
-                run.finalize(shard, "failed", None, str(payload),
-                             node="local")
+                run.finalize(shard, "failed", None, str(payload))
                 break
 
 
@@ -249,30 +209,21 @@ def _run_pool(ordered: Sequence[Shard], jobs: int, run: _Run) -> None:
                             shard, "failed", None,
                             "worker process died (after "
                             f"{run.attempts[shard.index]} attempt(s))",
-                            node="local",
                         )
                     else:
                         retry.append(shard)
                     continue
                 if status == _OK:
-                    run.finalize(shard, "ok", payload, "", node="local")
+                    run.finalize(shard, "ok", payload, "")
                     continue
                 run.record_error(shard, str(payload))
                 if run.exhausted(shard):
-                    run.finalize(shard, "failed", None, str(payload),
-                                 node="local")
+                    run.finalize(shard, "failed", None, str(payload))
                 else:
                     retry.append(shard)
         finally:
             executor.shutdown(wait=True)
         pending = retry
-
-
-def _run_local(to_run: Sequence[Shard], jobs: int, run: _Run) -> None:
-    if jobs == 1 or len(to_run) <= 1:
-        _run_serial(to_run, run)
-    else:
-        _run_pool(to_run, jobs, run)
 
 
 def run_shards(
@@ -282,9 +233,7 @@ def run_shards(
     retries: int = 1,
     partial: bool = False,
     progress: Optional[ProgressFn] = None,
-    backend: str = "local",
-    cache: Optional["ResultCache"] = None,
-    cluster: Optional["ClusterConfig"] = None,
+    cache: Optional[ResultCache] = None,
 ) -> List[ShardOutcome]:
     """Execute every shard; returns outcomes sorted by shard index.
 
@@ -296,25 +245,14 @@ def run_shards(
     with ``partial=True`` failures come back as outcomes with
     ``status == "failed"`` and ``value is None``.
 
-    ``backend="cluster"`` dispatches to worker nodes through
-    :mod:`repro.parallel.dispatch` (``jobs`` then sizes the spawned
-    worker fleet unless ``cluster.workers`` overrides it); if the
-    cluster cannot finish the batch -- no worker ever registered, or
-    every node died -- the leftovers run on the local pool, so the call
-    still returns a complete merge.
-
     ``cache`` short-circuits shards whose content address already has a
     stored result (``cached=True``, ``attempts == 0`` outcomes) and
-    persists fresh ok results; it composes with either backend.
+    persists fresh ok results.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if retries < 0:
         raise ValueError("retries must be non-negative")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
-        )
     ordered = _check_shards(shards)
     run = _Run(total=len(ordered), retries=retries, progress=progress)
 
@@ -330,16 +268,10 @@ def run_shards(
         to_run = uncached
 
     if to_run:
-        if backend == "cluster":
-            from repro.parallel.dispatch.coordinator import run_cluster
-
-            leftovers = run_cluster(to_run, run, jobs=jobs, config=cluster)
-            if leftovers:
-                # graceful degradation: whatever the cluster could not
-                # place finishes on this host's pool
-                _run_local(leftovers, jobs, run)
+        if jobs == 1 or len(to_run) <= 1:
+            _run_serial(to_run, run)
         else:
-            _run_local(to_run, jobs, run)
+            _run_pool(to_run, jobs, run)
         if cache is not None:
             for shard in to_run:
                 done = run.outcomes[shard.index]

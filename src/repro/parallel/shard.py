@@ -45,17 +45,12 @@ class ShardOutcome:
     error: str = ""
     #: executions performed (1 on a clean first run, 0 on a cache hit)
     attempts: int = 1
-    #: attempts lost to a worker process/node dying (vs the shard raising)
+    #: attempts lost to a worker process dying (vs the shard raising)
     worker_crashes: int = 0
     #: per-attempt audit trail: one entry per *failed* attempt (the
-    #: error message, prefixed with the node id on the cluster backend),
-    #: in attempt order -- crash-recovery reports can show exactly what
-    #: each retry saw instead of only the final error
+    #: error message), in attempt order -- crash-recovery reports can
+    #: show exactly what each retry saw instead of only the final error
     history: Tuple[str, ...] = ()
-    #: who produced the value: "" for the local backend, the node id
-    #: ("node0", an SSH host's id) for the cluster backend, "cache" for
-    #: a content-addressed cache hit
-    node: str = ""
     #: True when the value came from the result cache without executing
     cached: bool = False
 

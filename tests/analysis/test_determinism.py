@@ -226,6 +226,12 @@ class TestDT006BenchTimerAudit:
         )
         assert [d.code for d in found] == ["DT003"]
 
+    def test_parallel_engine_stays_dt003(self, tmp_path):
+        # repro/parallel stays in lint scope but owns no audited clock
+        source = "import time\n\ndef now():\n    return time.monotonic()\n"
+        found = self._lint_at(tmp_path, source, "repro/parallel/engine.py")
+        assert [d.code for d in found] == ["DT003"]
+
     def test_bare_name_import_is_caught(self, tmp_path):
         source = (
             "from time import perf_counter\n"
@@ -252,104 +258,3 @@ class TestDT006BenchTimerAudit:
         from repro.analysis.determinism import DEFAULT_TARGETS
 
         assert "repro/bench" in DEFAULT_TARGETS
-
-
-class TestDT006DispatchClock:
-    """The dispatch layer reads time only through its audited clock."""
-
-    def _lint_at(self, tmp_path, source, rel_path):
-        path = tmp_path / rel_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-        return lint_file(str(path), rel_path)
-
-    _TIMER_SOURCE = "import time\n\ndef now():\n    return time.monotonic()\n"
-
-    def test_raw_timer_in_dispatch_is_dt006(self, tmp_path):
-        found = self._lint_at(
-            tmp_path, self._TIMER_SOURCE,
-            "repro/parallel/dispatch/coordinator.py",
-        )
-        assert [d.code for d in found] == ["DT006"]
-        assert "repro.parallel.dispatch.clock" in found[0].message
-
-    def test_dispatch_clock_module_is_exempt(self, tmp_path):
-        found = self._lint_at(
-            tmp_path, self._TIMER_SOURCE, "repro/parallel/dispatch/clock.py"
-        )
-        assert found == []
-
-    def test_parallel_engine_outside_dispatch_stays_dt003(self, tmp_path):
-        found = self._lint_at(
-            tmp_path, self._TIMER_SOURCE, "repro/parallel/engine.py"
-        )
-        assert [d.code for d in found] == ["DT003"]
-
-
-class TestDT007NodeRegistryIteration:
-    """Raw iteration over ``.nodes`` is registration-order dependent."""
-
-    def _lint_at(self, tmp_path, source, rel_path):
-        path = tmp_path / rel_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-        return lint_file(str(path), rel_path)
-
-    _REL = "repro/parallel/dispatch/coordinator.py"
-
-    def test_for_loop_over_nodes_fires(self, tmp_path):
-        source = (
-            "def poll(registry):\n"
-            "    for node_id in registry.nodes:\n"
-            "        print(node_id)\n"
-        )
-        found = self._lint_at(tmp_path, source, self._REL)
-        assert [d.code for d in found] == ["DT007"]
-        assert "sorted_nodes" in found[0].message
-
-    def test_items_keys_values_all_fire(self, tmp_path):
-        source = (
-            "def poll(registry):\n"
-            "    for k, v in registry.nodes.items():\n"
-            "        print(k, v)\n"
-            "    for k in registry.nodes.keys():\n"
-            "        print(k)\n"
-            "    ids = [v.node_id for v in registry.nodes.values()]\n"
-            "    return ids\n"
-        )
-        found = self._lint_at(tmp_path, source, self._REL)
-        assert [d.code for d in found] == ["DT007", "DT007", "DT007"]
-
-    def test_sorted_launders(self, tmp_path):
-        source = (
-            "def poll(registry):\n"
-            "    for node_id in sorted(registry.nodes):\n"
-            "        print(node_id)\n"
-            "    return [registry.nodes[n] for n in sorted(registry.nodes)]\n"
-        )
-        found = self._lint_at(tmp_path, source, self._REL)
-        assert found == []
-
-    def test_scoped_to_the_dispatch_layer(self, tmp_path):
-        # self.nodes on, e.g., the TSP workload's tour graph is a list;
-        # outside repro/parallel/dispatch the pattern never fires
-        source = (
-            "def visit(graph):\n"
-            "    for node in graph.nodes:\n"
-            "        print(node)\n"
-        )
-        found = self._lint_at(tmp_path, source, "repro/sim/driver.py")
-        assert found == []
-
-    def test_suppression_comment_works(self, tmp_path):
-        source = (
-            "def poll(registry):\n"
-            "    for k in registry.nodes:  # repro-lint: ignore\n"
-            "        print(k)\n"
-        )
-        found = self._lint_at(tmp_path, source, self._REL)
-        assert found == []
-
-    def test_shipped_dispatch_source_is_lint_clean(self):
-        found = lint_paths(["repro/parallel/dispatch"])
-        assert found == []

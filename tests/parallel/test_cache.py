@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.parallel import ResultCache, Shard, run_shards
-from repro.parallel.dispatch.cache import (
+from repro.parallel.cache import (
     canonical_params,
     code_version,
     shard_fingerprint,
@@ -153,7 +153,6 @@ class TestRunShardsWithCache:
         for o in warm:
             assert o.cached is True
             assert o.attempts == 0
-            assert o.node == "cache"
             assert o.history == ()
 
     def test_partially_warm_run_executes_only_the_missing_cells(

@@ -227,13 +227,12 @@ class TestProgressIsolation:
 
 
 class TestAttemptAudit:
-    """Satellite 2: per-attempt history and provenance on outcomes."""
+    """Per-attempt history on outcomes."""
 
-    def test_clean_run_has_empty_history_and_local_node(self):
+    def test_clean_run_has_empty_history(self):
         outcomes = run_shards(squares(2))
         for o in outcomes:
             assert o.history == ()
-            assert o.node == "local"
             assert o.cached is False
 
     def test_retried_shard_records_each_failed_attempt(self, tmp_path):

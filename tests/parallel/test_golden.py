@@ -7,12 +7,14 @@ merged results exactly -- the campaign via its row fields and formatted
 table (the rows embed :func:`~repro.sim.driver.workload_signature`
 verdicts, so "identical rows" means "identical signatures"), the model
 checker via its result/diagnostic dataclasses, the offline experiment
-via its metrics dict.
+via its metrics dict.  A warm result cache must answer a whole
+campaign without executing a cell, and still print the serial table.
 """
 
 from repro.analysis.mc.explorer import SMALL_BUDGET, explore_all
 from repro.experiments.offline import run_offline_comparison
-from repro.faults import format_campaign, run_campaign
+from repro.faults import campaign_shards, format_campaign, run_campaign
+from repro.parallel import ResultCache
 
 
 def _row_fields(row):
@@ -45,6 +47,25 @@ class TestCampaignGolden:
         ]
         assert format_campaign(pooled) == format_campaign(serial)
         assert all(r.ok for r in serial)
+
+    def test_warm_cache_rerun_executes_zero_cells(self, tmp_path):
+        kwargs = dict(
+            scale="smoke",
+            workload_names=("randomwalk", "tasks"),
+            policies=("fcfs",),
+            fault_classes=["annotation_chaos", "counter_wrap"],
+        )
+        shards = len(campaign_shards(**kwargs))
+        serial = run_campaign(jobs=1, **kwargs)
+        cold_cache = ResultCache(str(tmp_path))
+        cold = run_campaign(jobs=2, cache=cold_cache, **kwargs)
+        assert (cold_cache.misses, cold_cache.stores) == (shards, shards)
+        warm_cache = ResultCache(str(tmp_path))
+        warm = run_campaign(jobs=2, cache=warm_cache, **kwargs)
+        assert warm_cache.hits == shards
+        assert warm_cache.misses == 0
+        assert format_campaign(cold) == format_campaign(serial)
+        assert format_campaign(warm) == format_campaign(serial)
 
 
 class TestModelCheckerGolden:

@@ -44,18 +44,6 @@ def always_raise() -> None:
     raise ValueError("boom")
 
 
-def sleep_then_value(seconds: float, value: int) -> int:
-    """Hold the worker busy for host ``seconds`` then return.
-
-    Cluster tests only (steal/eviction timing): simulation shards never
-    sleep host time -- their budgets are simulated steps.
-    """
-    import time
-
-    time.sleep(seconds)
-    return value
-
-
 def count_calls(counter: str, value: int) -> int:
     """Append one byte to ``counter`` per execution, then return.
 
