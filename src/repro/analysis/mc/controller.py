@@ -360,8 +360,6 @@ class ScheduleController:
             fp.add_thread(event.tid)
         elif isinstance(event, ev.Touch):
             fp.add_lines(event.lines, event.write)
-        elif isinstance(event, ev.Fetch):
-            fp.add_lines(event.lines, False)
 
     def on_block(
         self, cpu: int, thread: ActiveThread, misses: int, finished: bool

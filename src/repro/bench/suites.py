@@ -15,7 +15,7 @@ Three standing suites:
   run of the same fixture as the reference; the engine-to-engine
   speedup itself is gated by ``benchmarks/bench_engine_event.py``;
 - ``analytic`` -- the analytic reuse-distance backend
-  (``machine/analytic.py``) against the replay hierarchy on the
+  (``machine/analytic.py``) against the replay cache on the
   sweep-scale fixture; the backend-to-backend speedup is gated by
   ``benchmarks/bench_analytic_sweep.py``.
 
@@ -447,7 +447,7 @@ def analytic_sweep_analytic() -> BenchFn:
 
 @register("analytic_sweep_sim", suites=("analytic",), policy=_SWEEP_POLICY)
 def analytic_sweep_sim() -> BenchFn:
-    """The same sweep through the replay hierarchy (the reference cost).
+    """The same sweep through the replay cache (the reference cost).
 
     The analytic-vs-sim speedup itself is gated by
     ``benchmarks/bench_analytic_sweep.py``; this arm tracks the

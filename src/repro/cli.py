@@ -18,12 +18,13 @@ Commands:
   ``BENCH_<suite>.json``, ``compare`` two result files with noise-aware
   thresholds, ``update-baseline`` to re-record a checked-in baseline.
 
-The sweep commands (``faults run``, ``experiment``, ``mc``,
+The sweep commands (``faults run``, ``experiment offline``, ``mc``,
 ``bench run``) take ``--jobs N`` to shard over a process pool via
 :mod:`repro.parallel`; output is bit-identical to ``--jobs 1``
 (docs/PARALLEL.md).  ``--cache-dir`` (not on ``bench``) makes the
 sweep resumable via the content-addressed result cache without
-changing the output.  ``--backend`` always names the cache backend
+changing the output.  The other experiments are not sharded and
+refuse both flags.  ``--backend`` always names the cache backend
 (``sim`` or ``analytic``, docs/MODEL.md) of the commands that run
 simulations: ``run``, ``compare``, ``trace`` and ``experiment``.
 
@@ -68,12 +69,15 @@ class _Experiment(NamedTuple):
     """One ``experiment`` entry.
 
     ``run(jobs=, backend=, cache=)`` returns the report text.  Entries
-    with ``analytic=False`` run on the sim backend only, and the command
-    refuses ``--backend analytic`` for them rather than ignore it.
+    with ``analytic=False`` run on the sim backend only, and entries with
+    ``sharded=False`` run inline without a result cache; the command
+    refuses ``--backend analytic``, ``--jobs N`` and ``--cache-dir`` for
+    them rather than ignore the flag.
     """
 
     run: Callable[..., str]
     analytic: bool = False
+    sharded: bool = False
 
 
 _EXPERIMENTS = {}
@@ -167,6 +171,7 @@ def _experiment_registry():
                     )
                 ),
                 analytic=True,
+                sharded=True,
             ),
         }
     )
@@ -326,6 +331,17 @@ def _cmd_experiment(args) -> int:
             % (
                 args.name, DEFAULT_BACKEND, args.backend,
                 ", ".join(n for n, e in registry.items() if e.analytic),
+            ),
+            file=sys.stderr,
+        )
+        return 2
+    if (args.jobs != 1 or args.cache_dir) and not experiment.sharded:
+        print(
+            "repro experiment: %s is not a sharded sweep; --jobs and "
+            "--cache-dir are supported by %s"
+            % (
+                args.name,
+                ", ".join(n for n, e in registry.items() if e.sharded),
             ),
             file=sys.stderr,
         )
@@ -781,7 +797,7 @@ def _add_backend_flag(p) -> None:
     p.add_argument(
         "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
         help="cache backend: 'sim' replays every reference through the "
-        "simulated hierarchy, 'analytic' prices misses with the "
+        "simulated E-cache, 'analytic' prices misses with the "
         "closed-form reuse-distance model -- orders of magnitude faster "
         "for sweeps, approximate within the bounds the analytic-oracle "
         "CI job pins (docs/MODEL.md 'The analytic backend')",
@@ -793,7 +809,7 @@ def _add_engine_flag(p) -> None:
     from repro.threads.runtime import Runtime
 
     p.add_argument(
-        "--engine", choices=Runtime.ENGINES, default="stepped",
+        "--engine", choices=Runtime.ENGINES, default=Runtime.DEFAULT_ENGINE,
         help="scheduling loop: the quantum-stepped reference engine, or "
         "the event-driven engine that skips blocked/idle time (counters "
         "are bit-identical either way -- docs/MODEL.md)",
@@ -869,8 +885,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for sharded sweeps (offline); results are "
-        "bit-identical to --jobs 1",
+        help="worker processes for the sharded sweep (offline only; the "
+        "other experiments refuse it); results are bit-identical to "
+        "--jobs 1",
     )
     _add_cache_flag(exp_p)
     _add_backend_flag(exp_p)

@@ -39,6 +39,7 @@ from repro.sim.driver import (
 )
 from repro.sim.report import format_table
 from repro.threads.errors import WatchdogTimeout
+from repro.threads.runtime import Runtime
 from repro.workloads.mergesort import MergeWorkload
 from repro.workloads.params import MergeParams, PhotoParams, TasksParams, TspParams
 from repro.workloads.photo import PhotoWorkload
@@ -121,7 +122,7 @@ def _run_pair(
     config: MachineConfig,
     seed: int,
     watchdog_factory: Callable[[], Watchdog],
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> List[CampaignRow]:
     """One (workload, policy) block: fault-free baseline, then every
     requested fault class against it.  This is the shard body -- the
@@ -164,7 +165,7 @@ def _campaign_shard(
     seed: int,
     step_budget: int,
     max_chunks: int,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> List[CampaignRow]:
     """Worker entry point: everything arrives by name or plain value."""
     factory = campaign_workloads(scale)[workload]
@@ -189,7 +190,7 @@ def campaign_shards(
     seed: int = 0,
     step_budget: int = DEFAULT_STEP_BUDGET,
     max_chunks: int = DEFAULT_MAX_CHUNKS,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> List[Shard]:
     """Deterministic work partitioning of the campaign matrix.
 
@@ -245,7 +246,7 @@ def run_campaign(
     partial: bool = False,
     progress: Optional[ProgressFn] = None,
     cache: Optional[ResultCache] = None,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> List[CampaignRow]:
     """Run the full fault matrix; returns one row per cell.
 
@@ -345,7 +346,7 @@ def _run_cell(
     seed: int,
     baseline: HardenedResult,
     watchdog: Watchdog,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> CampaignRow:
     expects_timeout = cname in EXPECTS_TIMEOUT
     try:

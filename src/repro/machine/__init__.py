@@ -10,8 +10,12 @@ simulator (paper section 3.1).  It provides:
   the Kessler-Hill hierarchical policy the paper simulates.
 - :mod:`repro.machine.cache` -- direct-mapped and set-associative caches
   that report installed/evicted lines so footprints can be observed.
-- :mod:`repro.machine.hierarchy` -- the Table 1 memory hierarchy (L1 I/D +
-  unified external L2 with inclusion).
+- :mod:`repro.machine.analytic` -- the closed-form reuse-distance cache
+  (``--backend analytic``).
+- :mod:`repro.machine.backend` -- the one-E-cache-per-cpu backend protocol
+  and the ``sim``/``analytic`` registry.  The paper's model and counters
+  concern only the E-cache, so Table 1's L1 sizes are recorded
+  configuration, not simulated.
 - :mod:`repro.machine.counters` -- UltraSPARC-style performance
   instrumentation counters (PIC/PCR).
 - :mod:`repro.machine.processor` / :mod:`repro.machine.smp` -- processors
@@ -31,7 +35,6 @@ from repro.machine.configs import (
     MemoryTimings,
 )
 from repro.machine.counters import CounterEvent, PerformanceCounters
-from repro.machine.hierarchy import CacheHierarchy
 from repro.machine.processor import Processor
 from repro.machine.smp import Machine
 from repro.machine.vm import KesslerHillPlacement, NaivePlacement, VirtualMemory
@@ -39,7 +42,6 @@ from repro.machine.vm import KesslerHillPlacement, NaivePlacement, VirtualMemory
 __all__ = [
     "AccessResult",
     "AddressSpace",
-    "CacheHierarchy",
     "CounterEvent",
     "DirectMappedCache",
     "E5000_8CPU",

@@ -4,7 +4,7 @@ The paper's threads are "units of (possibly parallel) execution with
 independent lifetimes and separate stacks that share the address space"
 (section 2.3).  Workloads in this reproduction allocate named *regions*
 (stacks, heap objects, shared arrays) out of one :class:`AddressSpace` and
-touch them through the simulated cache hierarchy.
+touch them through the simulated E-cache.
 
 Addresses are plain integers.  A *line* is the unit of cache residency
 (64 bytes on the UltraSPARC-1, Table 1) and a *page* is the unit of virtual

@@ -1,6 +1,6 @@
 """Analytical reuse-distance cache backend (the fast path for sweeps).
 
-The replay hierarchy answers "how many of these touches miss" by
+The replay cache answers "how many of these touches miss" by
 simulating every reference through residency arrays, a VM translation
 layer, and a coherence directory.  That faithfulness is what the paper's
 accuracy experiments need -- and what caps sweeps far below the paper's
@@ -61,7 +61,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.machine.cache import AccessResult, CacheStats
-from repro.machine.configs import MachineConfig
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -129,7 +128,9 @@ class AnalyticCache:
 
     State is three scalars plus one float per *virtual line ever seen*
     (grown geometrically); every operation is a handful of vectorised
-    passes over the batch's distinct lines.
+    passes over the batch's distinct lines.  It has no notion of which
+    lines are resident, so it emits no install/evict events and takes no
+    listeners: a tracer attached to it fails at attach time.
     """
 
     def __init__(self, num_lines: int) -> None:
@@ -170,7 +171,7 @@ class AnalyticCache:
 
     # -- the access path ---------------------------------------------------
 
-    def access(self, lines: np.ndarray, write: bool = False) -> AccessResult:
+    def access(self, lines: np.ndarray) -> AccessResult:
         """Price one touch batch; integer hits/misses, no line events."""
         refs = int(lines.size)
         if refs == 0:
@@ -226,14 +227,7 @@ class AnalyticCache:
             return 0.0
         return float(self._survival(self.clock - prev[seen]).sum())
 
-    # -- protocol compatibility (listeners are never fed) ------------------
-
-    def on_install(self, listener: object) -> None:
-        """Accepted for interface parity; the analytic cache emits no
-        per-line events (it has no notion of which lines are resident)."""
-
-    def on_evict(self, listener: object) -> None:
-        """Accepted for interface parity; see :meth:`on_install`."""
+    # -- coherence and phase flushes ---------------------------------------
 
     def invalidate(self, lines: np.ndarray) -> int:
         """Forget lines (coherence): they become compulsory again."""
@@ -259,39 +253,3 @@ class AnalyticCache:
             )
         self._last.fill(-1.0)
         return resident
-
-
-class AnalyticHierarchy:
-    """Drop-in :class:`HierarchyBackend`: a single analytic E-cache level.
-
-    L1s are not modelled (the paper's analysis targets the E-cache;
-    ``model_l1`` is ignored here), instruction fetches share the unified
-    cache exactly as in the replay hierarchy, and ``l2`` exposes the
-    :class:`~repro.machine.cache.CacheStats` every report reads.
-    """
-
-    def __init__(self, config: MachineConfig) -> None:
-        self.config = config
-        self.l2 = AnalyticCache(config.l2_lines)
-
-    def access_data(
-        self, plines: np.ndarray, write: bool = False
-    ) -> AccessResult:
-        return self.l2.access(plines, write=write)
-
-    def access_instructions(self, plines: np.ndarray) -> AccessResult:
-        return self.l2.access(plines, write=False)
-
-    def invalidate(self, plines: np.ndarray) -> int:
-        return self.l2.invalidate(plines)
-
-    def flush(self) -> int:
-        return self.l2.flush()
-
-    def expected_resident(self, vlines: np.ndarray) -> float:
-        """Expected resident count of ``vlines`` (footprint estimation)."""
-        return self.l2.expected_resident(vlines)
-
-    def histogram(self) -> ReuseHistogram:
-        """The cumulative reuse-distance histogram (snapshot for deltas)."""
-        return self.l2.hist

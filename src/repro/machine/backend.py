@@ -1,24 +1,24 @@
-"""The cache-hierarchy backend protocol and registry.
+"""The per-cpu cache backend protocol and registry.
 
-The simulator originally had exactly one way to answer "what does this
-touch batch cost": replay it through the per-processor
-:class:`~repro.machine.hierarchy.CacheHierarchy`.  This module extracts
-the interface that replay satisfied into an explicit protocol so a
-second, *analytical* implementation (:mod:`repro.machine.analytic`) can
-stand in for it -- per experiment and per bench run, selected as
-``--backend analytic|sim`` (default ``sim``).
+Each :class:`~repro.machine.processor.Processor` prices its touch
+batches through one object, its E-cache: the paper's model and its
+counter readings concern only that cache (sections 2.1 and 5).  Two
+implementations satisfy the protocol, selected per experiment and per
+bench run as ``--backend sim|analytic`` (default ``sim``):
 
-A backend is the per-cpu object :class:`~repro.machine.processor.Processor`
-drives.  It must:
+- ``sim`` replays every reference through a
+  :class:`~repro.machine.cache.DirectMappedCache`, or a
+  :class:`~repro.machine.cache.SetAssociativeCache` when the config's
+  ``l2_ways > 1``;
+- ``analytic`` predicts miss counts from reuse distances with the
+  closed form of :class:`~repro.machine.analytic.AnalyticCache`.
 
-- price data-touch and instruction-fetch batches as
-  :class:`~repro.machine.cache.AccessResult` values (refs/hits/misses are
-  what feed the performance counters and the cycle accounting);
-- expose an ``l2`` attribute carrying cumulative
-  :class:`~repro.machine.cache.CacheStats` (reports and the tracer read
-  it);
-- support ``invalidate`` (coherence traffic) and ``flush`` (between
-  workload phases).
+A backend prices touch batches as
+:class:`~repro.machine.cache.AccessResult` values (refs/hits/misses feed
+the performance counters and the cycle accounting), carries cumulative
+:class:`~repro.machine.cache.CacheStats` (reports and the tracer read
+them), and supports ``invalidate`` (coherence traffic) and ``flush``
+(between workload phases).
 
 The simulated backend operates on *physical* lines behind the VM; the
 analytic backend skips translation and works on virtual lines directly
@@ -27,17 +27,18 @@ analytic backend skips translation and works on virtual lines directly
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Dict, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from repro.machine.cache import AccessResult, CacheStats
+from repro.machine.analytic import AnalyticCache
+from repro.machine.cache import (
+    AccessResult,
+    CacheStats,
+    DirectMappedCache,
+    SetAssociativeCache,
+)
 from repro.machine.configs import MachineConfig
-
-try:  # Protocol is 3.8+; keep the import explicit for mypy
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - very old pythons only
-    from typing_extensions import Protocol, runtime_checkable  # type: ignore
 
 #: the selectable cache backends (CLI: ``--backend``)
 BACKEND_NAMES: Tuple[str, ...] = ("sim", "analytic")
@@ -47,56 +48,49 @@ DEFAULT_BACKEND = "sim"
 
 
 @runtime_checkable
-class CacheLevel(Protocol):
-    """What reports/tracers need from a backend's ``l2`` attribute."""
+class CacheBackend(Protocol):
+    """One cpu's E-cache, as its :class:`Processor` drives it."""
 
     num_lines: int
     stats: CacheStats
 
+    def access(self, lines: np.ndarray) -> AccessResult:
+        """Price a touch batch in order; returns the outcome."""
 
-@runtime_checkable
-class HierarchyBackend(Protocol):
-    """The per-processor cache backend a :class:`Processor` drives.
-
-    Extracted from the concrete :class:`CacheHierarchy` interface; both
-    the replay hierarchy and the analytic fast path satisfy it.
-    """
-
-    config: MachineConfig
-
-    def access_data(
-        self, plines: np.ndarray, write: bool = False
-    ) -> AccessResult:
-        """Price a data-touch batch; returns the E-cache-level result."""
-
-    def access_instructions(self, plines: np.ndarray) -> AccessResult:
-        """Price an instruction-fetch batch."""
-
-    def invalidate(self, plines: np.ndarray) -> int:
+    def invalidate(self, lines: np.ndarray) -> int:
         """Remove lines (coherence traffic); returns lines invalidated."""
 
     def flush(self) -> int:
-        """Empty the hierarchy; returns E-cache lines evicted."""
+        """Empty the cache; returns lines evicted."""
 
 
 #: factory type: config -> per-cpu backend instance
-BackendFactory = Callable[[MachineConfig], HierarchyBackend]
+BackendFactory = Callable[[MachineConfig], CacheBackend]
+
+
+def _sim_cache(config: MachineConfig) -> CacheBackend:
+    if config.l2_ways > 1:
+        return SetAssociativeCache(
+            config.l2_bytes, config.line_bytes, ways=config.l2_ways
+        )
+    return DirectMappedCache(config.l2_bytes, config.line_bytes)
+
+
+def _analytic_cache(config: MachineConfig) -> CacheBackend:
+    return AnalyticCache(config.l2_lines)
+
+
+_FACTORIES: Dict[str, BackendFactory] = {
+    "sim": _sim_cache,
+    "analytic": _analytic_cache,
+}
 
 
 def resolve_backend(name: str) -> BackendFactory:
-    """Map a backend name to its per-cpu factory.
-
-    Imports are deferred so ``repro.machine.hierarchy`` and
-    ``repro.machine.analytic`` stay import-independent of each other.
-    """
-    if name == "sim":
-        from repro.machine.hierarchy import CacheHierarchy
-
-        return CacheHierarchy
-    if name == "analytic":
-        from repro.machine.analytic import AnalyticHierarchy
-
-        return AnalyticHierarchy
-    raise ValueError(
-        f"unknown cache backend {name!r}; expected one of {BACKEND_NAMES}"
-    )
+    """Map a backend name to its per-cpu cache factory."""
+    try:
+        return _FACTORIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown cache backend {name!r}; expected one of {BACKEND_NAMES}"
+        ) from None

@@ -21,7 +21,7 @@ Caches operate on *physical line numbers* (already translated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
@@ -60,9 +60,7 @@ class AccessResult:
     """Outcome of one access batch.
 
     ``installed``/``evicted`` are the *net* residency changes of the batch
-    (see :func:`_net_effect`); ``miss_lines`` is the raw, ordered sequence
-    of missed lines (length ``misses``), which the hierarchy forwards to
-    the next level.
+    (see :func:`_net_effect`).
     """
 
     refs: int
@@ -70,8 +68,6 @@ class AccessResult:
     misses: int
     installed: np.ndarray
     evicted: np.ndarray
-    writebacks: int = 0
-    miss_lines: np.ndarray = field(default_factory=lambda: _EMPTY)
 
 
 class CacheStats:
@@ -81,7 +77,6 @@ class CacheStats:
         self.refs = 0
         self.hits = 0
         self.misses = 0
-        self.writebacks = 0
         self.invalidations = 0
 
     @property
@@ -95,7 +90,6 @@ class CacheStats:
             "refs": self.refs,
             "hits": self.hits,
             "misses": self.misses,
-            "writebacks": self.writebacks,
             "invalidations": self.invalidations,
         }
 
@@ -137,12 +131,12 @@ class _BaseCache:
 
     # -- interface subclasses must implement ------------------------------
 
-    def access(self, plines: np.ndarray, write: bool = False) -> AccessResult:
+    def access(self, lines: np.ndarray) -> AccessResult:
         """Access a batch of physical lines in order; returns the outcome."""
         raise NotImplementedError
 
-    def invalidate(self, plines: np.ndarray) -> int:
-        """Drop any resident copies of ``plines``; returns how many were."""
+    def invalidate(self, lines: np.ndarray) -> int:
+        """Drop any resident copies of ``lines``; returns how many were."""
         raise NotImplementedError
 
     def resident_lines(self) -> np.ndarray:
@@ -172,7 +166,6 @@ class DirectMappedCache(_BaseCache):
     def __init__(self, size_bytes: int, line_bytes: int = 64) -> None:
         super().__init__(size_bytes, line_bytes)
         self._resident = np.full(self.num_lines, -1, dtype=np.int64)
-        self._dirty = np.zeros(self.num_lines, dtype=bool)
         #: power-of-two caches index with a mask instead of a modulo (the
         #: hardware's trick, and measurably cheaper per batch)
         n = self.num_lines
@@ -189,37 +182,31 @@ class DirectMappedCache(_BaseCache):
             return plines & self._index_mask
         return plines % self.num_lines
 
-    def access(self, plines: np.ndarray, write: bool = False) -> AccessResult:
-        plines = np.asarray(plines, dtype=np.int64)
+    def access(self, lines: np.ndarray) -> AccessResult:
+        plines = np.asarray(lines, dtype=np.int64)
         if plines.size == 0:
             return AccessResult(0, 0, 0, _EMPTY, _EMPTY)
         idx = self._indices(plines)
         if idx.size == 1 or np.unique(idx).size == idx.size:
-            result = self._access_vectorised(plines, idx, write)
+            result = self._access_vectorised(plines, idx)
         else:
-            result = self._access_serial(plines, idx, write)
+            result = self._access_serial(plines, idx)
         stats = self.stats
         stats.refs += result.refs
         stats.hits += result.hits
         stats.misses += result.misses
-        stats.writebacks += result.writebacks
         self._notify(result.installed, result.evicted)
         return result
 
     def _access_vectorised(
-        self, plines: np.ndarray, idx: np.ndarray, write: bool
+        self, plines: np.ndarray, idx: np.ndarray
     ) -> AccessResult:
         hit_mask = self._resident[idx] == plines
         miss_idx = idx[~hit_mask]
         installed = plines[~hit_mask]
         old = self._resident[miss_idx]
-        valid_old = old >= 0
-        evicted = old[valid_old]
-        writebacks = int(np.count_nonzero(self._dirty[miss_idx] & valid_old))
+        evicted = old[old >= 0]
         self._resident[miss_idx] = installed
-        self._dirty[miss_idx] = write
-        if write:
-            self._dirty[idx[hit_mask]] = True
         # distinct indices mean no intra-batch reinstall: raw == net
         return AccessResult(
             refs=plines.size,
@@ -227,32 +214,23 @@ class DirectMappedCache(_BaseCache):
             misses=installed.size,
             installed=installed,
             evicted=evicted,
-            writebacks=writebacks,
-            miss_lines=installed,
         )
 
     def _access_serial(
-        self, plines: np.ndarray, idx: np.ndarray, write: bool
+        self, plines: np.ndarray, idx: np.ndarray
     ) -> AccessResult:
         hits = 0
         installed: List[int] = []
         evicted: List[int] = []
-        writebacks = 0
         resident = self._resident
-        dirty = self._dirty
         for pline, i in zip(plines.tolist(), idx.tolist()):
             if resident[i] == pline:
                 hits += 1
-                if write:
-                    dirty[i] = True
                 continue
             old = resident[i]
             if old >= 0:
                 evicted.append(old)
-                if dirty[i]:
-                    writebacks += 1
             resident[i] = pline
-            dirty[i] = write
             installed.append(pline)
         net_in, net_out = _net_effect(installed, evicted)
         return AccessResult(
@@ -261,19 +239,16 @@ class DirectMappedCache(_BaseCache):
             misses=len(installed),
             installed=net_in,
             evicted=net_out,
-            writebacks=writebacks,
-            miss_lines=np.asarray(installed, dtype=np.int64),
         )
 
-    def invalidate(self, plines: np.ndarray) -> int:
-        plines = np.asarray(plines, dtype=np.int64)
+    def invalidate(self, lines: np.ndarray) -> int:
+        plines = np.asarray(lines, dtype=np.int64)
         if plines.size == 0:
             return 0
         idx = self._indices(plines)
         match = self._resident[idx] == plines
         victims = plines[match]
         self._resident[idx[match]] = -1
-        self._dirty[idx[match]] = False
         self.stats.invalidations += victims.size
         self._notify(_EMPTY, victims)
         return int(victims.size)
@@ -287,7 +262,6 @@ class DirectMappedCache(_BaseCache):
     def flush(self) -> int:
         victims = self.resident_lines().copy()
         self._resident[:] = -1
-        self._dirty[:] = False
         self._notify(_EMPTY, victims)
         return int(victims.size)
 
@@ -312,27 +286,22 @@ class SetAssociativeCache(_BaseCache):
             raise ValueError("ways must divide the number of lines")
         self.ways = ways
         self.num_sets = self.num_lines // ways
-        # per set: tags (-1 = empty), dirty flags, LRU stamps
+        # per set: tags (-1 = empty) and LRU stamps
         self._tags: List[List[int]] = [
             [-1] * ways for _ in range(self.num_sets)
-        ]
-        self._dirty: List[List[bool]] = [
-            [False] * ways for _ in range(self.num_sets)
         ]
         self._stamp: List[List[int]] = [
             [0] * ways for _ in range(self.num_sets)
         ]
         self._clock = 0
 
-    def access(self, plines: np.ndarray, write: bool = False) -> AccessResult:
-        plines = np.asarray(plines, dtype=np.int64)
+    def access(self, lines: np.ndarray) -> AccessResult:
+        plines = np.asarray(lines, dtype=np.int64)
         hits = 0
         installed: List[int] = []
         evicted: List[int] = []
-        writebacks = 0
         num_sets = self.num_sets
         tags = self._tags
-        dirty = self._dirty
         stamp = self._stamp
         clock = self._clock
         for pline in plines.tolist():
@@ -349,14 +318,9 @@ class SetAssociativeCache(_BaseCache):
                     srow = stamp[s]
                     w = srow.index(min(srow))
                     evicted.append(row[w])
-                    if dirty[s][w]:
-                        writebacks += 1
                 row[w] = pline
-                dirty[s][w] = False
                 installed.append(pline)
             stamp[s][w] = clock
-            if write:
-                dirty[s][w] = True
         self._clock = clock
         net_in, net_out = _net_effect(installed, evicted)
         result = AccessResult(
@@ -365,20 +329,17 @@ class SetAssociativeCache(_BaseCache):
             misses=len(installed),
             installed=net_in,
             evicted=net_out,
-            writebacks=writebacks,
-            miss_lines=np.asarray(installed, dtype=np.int64),
         )
         stats = self.stats
         stats.refs += result.refs
         stats.hits += result.hits
         stats.misses += result.misses
-        stats.writebacks += result.writebacks
         self._notify(result.installed, result.evicted)
         return result
 
-    def invalidate(self, plines: np.ndarray) -> int:
+    def invalidate(self, lines: np.ndarray) -> int:
         victims: List[int] = []
-        for pline in np.asarray(plines, dtype=np.int64).tolist():
+        for pline in np.asarray(lines, dtype=np.int64).tolist():
             s = pline % self.num_sets
             row = self._tags[s]
             try:
@@ -386,7 +347,6 @@ class SetAssociativeCache(_BaseCache):
             except ValueError:
                 continue
             row[w] = -1
-            self._dirty[s][w] = False
             victims.append(pline)
         self.stats.invalidations += len(victims)
         self._notify(_EMPTY, np.asarray(victims, dtype=np.int64))
@@ -404,7 +364,6 @@ class SetAssociativeCache(_BaseCache):
         ways = self.ways
         for s in range(self.num_sets):
             self._tags[s] = [-1] * ways
-            self._dirty[s] = [False] * ways
             self._stamp[s] = [0] * ways
         self._notify(_EMPTY, victims)
         return int(victims.size)

@@ -23,15 +23,14 @@ from repro.machine.address import LINE_BYTES, PAGE_BYTES
 
 @dataclass(frozen=True)
 class MemoryTimings:
-    """Cycle costs of the memory hierarchy levels (Table 1, section 5)."""
+    """Cycle costs of the E-cache (Table 1, section 5)."""
 
-    l1_hit: int = 1
     l2_hit: int = 3
     l2_miss: int = 42
     l2_miss_remote: int = 42  # cost when another cpu caches the line
 
     def __post_init__(self) -> None:
-        if min(self.l1_hit, self.l2_hit, self.l2_miss, self.l2_miss_remote) <= 0:
+        if min(self.l2_hit, self.l2_miss, self.l2_miss_remote) <= 0:
             raise ValueError("all latencies must be positive cycles")
 
 
@@ -44,6 +43,8 @@ class MachineConfig:
     clock_mhz: int = 167
     line_bytes: int = LINE_BYTES
     page_bytes: int = PAGE_BYTES
+    #: Table 1's L1 sizes: recorded configuration, not simulated (the
+    #: model and the PICs concern only the E-cache, section 2.1)
     l1i_bytes: int = 16 * 1024
     l1d_bytes: int = 16 * 1024
     l2_bytes: int = 512 * 1024
@@ -51,7 +52,6 @@ class MachineConfig:
     #: selects the LRU set-associative simulator (model-extension ablation)
     l2_ways: int = 1
     timings: MemoryTimings = field(default_factory=MemoryTimings)
-    model_l1: bool = False  # the analysis targets the E-cache (section 2.1)
     #: model per-cpu dTLBs (64-entry fully associative, ~30-cycle misses);
     #: off by default -- the paper's evaluation concentrates on the E-cache
     model_tlb: bool = False
@@ -81,7 +81,7 @@ class MachineConfig:
 ULTRA1 = MachineConfig(
     name="ultra1",
     num_cpus=1,
-    timings=MemoryTimings(l1_hit=1, l2_hit=3, l2_miss=42, l2_miss_remote=42),
+    timings=MemoryTimings(l2_hit=3, l2_miss=42, l2_miss_remote=42),
 )
 
 #: 8-cpu Sun Enterprise 5000 (section 5): 50-cycle local miss, 80-cycle
@@ -89,7 +89,7 @@ ULTRA1 = MachineConfig(
 E5000_8CPU = MachineConfig(
     name="e5000",
     num_cpus=8,
-    timings=MemoryTimings(l1_hit=1, l2_hit=3, l2_miss=50, l2_miss_remote=80),
+    timings=MemoryTimings(l2_hit=3, l2_miss=50, l2_miss_remote=80),
 )
 
 #: Tiny platform for fast tests: 16 KB E-cache = 256 lines of 64 bytes,

@@ -1,16 +1,16 @@
 """A simulated processor: cycle accounting plus counter updates.
 
 A processor consumes the memory activity of whatever thread the runtime has
-dispatched on it: batches of data-line touches, instruction-fetch batches,
-and pure compute (instruction counts).  Every touch flows through the
-processor's cache hierarchy; E-cache references and hits are accumulated in
-the processor's performance counters exactly as the UltraSPARC PICs would
-see them, and cycles are charged per Table 1 latencies.
+dispatched on it: batches of data-line touches and pure compute
+(instruction counts).  Every touch goes to the processor's E-cache; E-cache
+references and hits are accumulated in the processor's performance counters
+exactly as the UltraSPARC PICs would see them, and cycles are charged per
+Table 1 latencies.
 
 The distinction between a 50-cycle local miss and an 80-cycle remote miss
 (line cached by another processor, Enterprise 5000) is priced by the
-machine-level directory, which the processor consults through the
-``remote_fraction`` hook installed by :class:`repro.machine.smp.Machine`.
+machine-level directory, which the processor consults through the remote
+probe :class:`repro.machine.smp.Machine` installs (:meth:`set_remote_probe`).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.machine.backend import HierarchyBackend
+from repro.machine.backend import DEFAULT_BACKEND, CacheBackend, resolve_backend
 from repro.machine.cache import AccessResult
 from repro.machine.configs import MachineConfig
 from repro.machine.counters import CounterEvent, PerformanceCounters
-from repro.machine.hierarchy import CacheHierarchy
 
 #: Hook: given the missed lines, return how many were held by another cpu.
 RemoteProbe = Callable[[np.ndarray], int]
@@ -36,14 +35,15 @@ class Processor:
         self,
         cpu_id: int,
         config: MachineConfig,
-        hierarchy: Optional[HierarchyBackend] = None,
+        l2: Optional[CacheBackend] = None,
     ) -> None:
         self.cpu_id = cpu_id
         self.config = config
-        #: the cache backend priced by this cpu (replay hierarchy by
-        #: default; the Machine injects the analytic one on demand)
-        self.hierarchy: HierarchyBackend = (
-            hierarchy if hierarchy is not None else CacheHierarchy(config)
+        #: this cpu's E-cache, the backend every touch is priced by (the
+        #: replay cache by default; the Machine injects the configured
+        #: one) and the object the tracer watches
+        self.l2: CacheBackend = (
+            l2 if l2 is not None else resolve_backend(DEFAULT_BACKEND)(config)
         )
         self.counters = PerformanceCounters()
         self.cycles = 0
@@ -72,19 +72,9 @@ class Processor:
         self.counters.record(CounterEvent.INSTRUCTIONS, instructions)
         self.counters.record(CounterEvent.CYCLES, instructions)
 
-    def touch_data(self, plines: np.ndarray, write: bool = False) -> AccessResult:
-        """Touch physical data lines; returns the E-cache access result."""
-        result = self.hierarchy.access_data(plines, write=write)
-        self._account(result, data=True)
-        return result
-
-    def fetch_instructions(self, plines: np.ndarray) -> AccessResult:
-        """Fetch instruction lines (used when workloads model code regions)."""
-        result = self.hierarchy.access_instructions(plines)
-        self._account(result, data=False)
-        return result
-
-    def _account(self, result: AccessResult, data: bool) -> None:
+    def touch_data(self, plines: np.ndarray) -> AccessResult:
+        """Touch data lines; returns the E-cache access result."""
+        result = self.l2.access(plines)
         t = self.config.timings
         remote = 0
         if result.misses and self._remote_probe is not None:
@@ -107,13 +97,9 @@ class Processor:
         self.counters.record(CounterEvent.ECACHE_REFS, result.refs)
         self.counters.record(CounterEvent.ECACHE_HITS, result.hits)
         self.counters.record(CounterEvent.ECACHE_MISSES, result.misses)
+        return result
 
     # -- convenience ------------------------------------------------------
-
-    @property
-    def l2(self):
-        """This cpu's E-cache (the object the tracer watches)."""
-        return self.hierarchy.l2
 
     def snapshot(self) -> dict:
         """Cycle/instruction/E-cache counters for reports."""

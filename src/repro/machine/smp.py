@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.machine.address import AddressSpace
-from repro.machine.backend import BACKEND_NAMES, resolve_backend
+from repro.machine.backend import DEFAULT_BACKEND, resolve_backend
 from repro.machine.cache import AccessResult
 from repro.machine.configs import MachineConfig
 from repro.machine.processor import Processor
@@ -51,19 +51,6 @@ class LineDirectory:
             if not cpus:
                 del holders[pline]
 
-    def holders(self, pline: int) -> Set[int]:
-        """Cpus caching ``pline`` (possibly empty; do not mutate)."""
-        return self._holders.get(pline, set())
-
-    def held_by_other(self, pline: int, cpu_id: int) -> bool:
-        """Whether any cpu other than ``cpu_id`` caches the line."""
-        cpus = self._holders.get(pline)
-        if not cpus:
-            return False
-        if cpu_id in cpus:
-            return len(cpus) > 1
-        return True
-
     def count_remote(self, plines: np.ndarray, cpu_id: int) -> int:
         """How many of ``plines`` some other cpu caches."""
         holders = self._holders
@@ -79,10 +66,27 @@ class LineDirectory:
                 count += 1
         return count
 
-    def shared_with_others(self, plines: np.ndarray, cpu_id: int) -> np.ndarray:
-        """The subset of ``plines`` cached by at least one other cpu."""
-        mask = [self.held_by_other(int(p), cpu_id) for p in plines]
-        return plines[np.asarray(mask, dtype=bool)] if plines.size else plines
+    def remote_copies(
+        self, plines: np.ndarray, cpu_id: int
+    ) -> Dict[int, np.ndarray]:
+        """Each other cpu that caches some of ``plines``, with those lines.
+
+        Cpus appear in the order of their first such line in ``plines``
+        (ties by cpu id); each cpu's lines keep their order in ``plines``.
+        """
+        holders = self._holders
+        copies: Dict[int, List[int]] = {}
+        for pline in plines.tolist():
+            cpus = holders.get(pline)
+            if not cpus or (cpu_id in cpus and len(cpus) == 1):
+                continue
+            for holder in sorted(cpus):
+                if holder != cpu_id:
+                    copies.setdefault(holder, []).append(pline)
+        return {
+            holder: np.asarray(lines, dtype=np.int64)
+            for holder, lines in copies.items()
+        }
 
 
 class Machine:
@@ -99,15 +103,11 @@ class Machine:
         config: MachineConfig,
         placement: Optional[PlacementPolicy] = None,
         seed: int = 0,
-        backend: str = "sim",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown cache backend {backend!r}; expected one of "
-                f"{BACKEND_NAMES}"
-            )
+        cache_factory = resolve_backend(backend)
         #: cache backend name: ``"sim"`` replays every reference through
-        #: the per-cpu hierarchy behind the VM and coherence directory;
+        #: the per-cpu E-cache behind the VM and coherence directory;
         #: ``"analytic"`` prices batches with the reuse-distance model on
         #: virtual lines, skipping translation, TLBs and coherence
         #: entirely (repro.machine.analytic)
@@ -134,10 +134,9 @@ class Machine:
             TLB() if config.model_tlb else None
             for _ in range(config.num_cpus)
         ]
-        hierarchy_factory = resolve_backend(backend)
         self.cpus: List[Processor] = []
         for cpu_id in range(config.num_cpus):
-            cpu = Processor(cpu_id, config, hierarchy=hierarchy_factory(config))
+            cpu = Processor(cpu_id, config, cache_factory(config))
             if not self._analytic:
                 # the directory prices remote misses and performs write
                 # invalidation; the analytic backend models neither (the
@@ -172,7 +171,7 @@ class Machine:
             # the analytic backend prices batches in virtual-line space:
             # no TLB, no translation, no coherence -- that skipped work
             # is exactly where the sweep speedup comes from
-            return cpu.touch_data(vlines, write=write)
+            return cpu.touch_data(vlines)
         tlb = self.tlbs[cpu_id]
         if tlb is not None and vlines.size:
             vpages = np.unique(vlines // self.vm.lines_per_page)
@@ -180,37 +179,19 @@ class Machine:
             if tlb_misses:
                 cpu.cycles += tlb_misses * tlb.miss_penalty
         plines = self.vm.translate_lines(vlines)
-        result = cpu.touch_data(plines, write=write)
+        result = cpu.touch_data(plines)
         if write and self.config.num_cpus > 1:
             self._invalidate_remote_copies(cpu_id, plines)
         return result
-
-    def fetch(self, cpu_id: int, vlines: np.ndarray) -> AccessResult:
-        """Instruction-fetch virtual lines on a cpu."""
-        vlines = np.asarray(vlines, dtype=np.int64)
-        if self._analytic:
-            return self.cpus[cpu_id].fetch_instructions(vlines)
-        plines = self.vm.translate_lines(vlines)
-        return self.cpus[cpu_id].fetch_instructions(plines)
 
     def compute(self, cpu_id: int, instructions: int) -> None:
         """Run non-memory instructions on a cpu."""
         self.cpus[cpu_id].compute(instructions)
 
     def _invalidate_remote_copies(self, writer: int, plines: np.ndarray) -> None:
-        victims_by_cpu: Dict[int, List[int]] = {}
-        holders = self.directory._holders
-        for pline in plines.tolist():
-            cpus = holders.get(pline)
-            if not cpus or (writer in cpus and len(cpus) == 1):
-                continue
-            for cpu_id in sorted(cpus):
-                if cpu_id != writer:
-                    victims_by_cpu.setdefault(cpu_id, []).append(pline)
-        for cpu_id, victims in victims_by_cpu.items():
-            self.cpus[cpu_id].hierarchy.invalidate(
-                np.asarray(victims, dtype=np.int64)
-            )
+        copies = self.directory.remote_copies(plines, writer)
+        for cpu_id, victims in copies.items():
+            self.cpus[cpu_id].l2.invalidate(victims)
 
     # -- clocks ------------------------------------------------------------
 
@@ -231,9 +212,9 @@ class Machine:
         return sum(cpu.instructions for cpu in self.cpus)
 
     def flush_all(self) -> None:
-        """Flush every cpu's hierarchy (between workload phases)."""
+        """Flush every cpu's E-cache (between workload phases)."""
         for cpu in self.cpus:
-            cpu.hierarchy.flush()
+            cpu.l2.flush()
 
     def snapshot(self) -> List[dict]:
         """Per-cpu counter snapshots for reports."""

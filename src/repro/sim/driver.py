@@ -46,7 +46,7 @@ def run_performance(
     scheduler: Scheduler,
     seed: int = 0,
     max_events: Optional[int] = None,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
     backend: str = "sim",
 ) -> PerfResult:
     """Run a workload to completion; returns the aggregate counters.
@@ -56,7 +56,7 @@ def run_performance(
     bit-identical either way, only wall-clock time differs.
 
     ``backend`` selects how touch batches are priced: ``"sim"`` replays
-    every reference through the cache hierarchy, ``"analytic"`` predicts
+    every reference through the per-cpu E-cache, ``"analytic"`` predicts
     miss counts from reuse distances via the closed-form model
     (docs/MODEL.md "The analytic backend") -- per-thread ground truth
     (refs, instructions) is identical, miss counts are approximate
@@ -66,17 +66,22 @@ def run_performance(
     runtime = Runtime(machine, scheduler, engine=engine)
     workload.build(runtime)
     runtime.run(max_events=max_events)
-    steals = getattr(scheduler, "steals", 0)
+    return _perf_result(workload, runtime)
+
+
+def _perf_result(workload: Workload, runtime: Runtime) -> PerfResult:
+    """The aggregate counters of a finished run of ``workload``."""
+    machine = runtime.machine
     return PerfResult(
         workload=workload.name,
-        scheduler=scheduler.name,
-        num_cpus=config.num_cpus,
+        scheduler=runtime.scheduler.name,
+        num_cpus=machine.config.num_cpus,
         cycles=machine.time(),
         instructions=machine.total_instructions(),
         l2_misses=machine.total_l2_misses(),
         l2_refs=sum(cpu.l2.stats.refs for cpu in machine.cpus),
         context_switches=runtime.context_switches,
-        steals=steals,
+        steals=getattr(runtime.scheduler, "steals", 0),
     )
 
 
@@ -144,15 +149,15 @@ class _AnalyticFootprintProbe(Observer):
         vlines = self._state.get(tid)
         if vlines is None:
             return 0
-        hierarchy = self._machine.cpus[cpu].hierarchy
-        return int(round(hierarchy.expected_resident(vlines)))
+        cache = self._machine.cpus[cpu].l2
+        return int(round(cache.expected_resident(vlines)))
 
 
 def run_monitored(
     app: MonitoredApp,
     config: MachineConfig = ULTRA1,
     seed: int = 0,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
     backend: str = "sim",
 ) -> MonitoredResult:
     """Trace one work thread's footprint against the model's prediction.
@@ -426,7 +431,7 @@ def run_hardened(
     watchdog: Optional[Watchdog] = None,
     max_attempts: int = 3,
     invariants: bool = True,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> HardenedResult:
     """Run a workload under fault injection with full hardening.
 
@@ -477,19 +482,8 @@ def run_hardened(
             continue
         if checker is not None:
             checker.deep_check()  # final sweep at quiescence
-        perf = PerfResult(
-            workload=workload.name,
-            scheduler=scheduler.name,
-            num_cpus=config.num_cpus,
-            cycles=machine.time(),
-            instructions=machine.total_instructions(),
-            l2_misses=machine.total_l2_misses(),
-            l2_refs=sum(cpu.l2.stats.refs for cpu in machine.cpus),
-            context_switches=runtime.context_switches,
-            steals=getattr(scheduler, "steals", 0),
-        )
         return HardenedResult(
-            perf=perf,
+            perf=_perf_result(workload, runtime),
             signature=workload_signature(runtime),
             attempts=attempt,
             checkpoints=list(dog.checkpoints),

@@ -140,7 +140,7 @@ def cross_check(
     factory: Callable,
     config: MachineConfig = SMALL,
     seed: int = 0,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> Dict[str, object]:
     """Run one fixture under both backends and compare miss streams."""
     sim_tape, sim_sig = _run_tape(factory, "sim", config, seed, engine)
@@ -184,7 +184,7 @@ def run_oracle(
     workloads: Optional[Dict[str, Callable]] = None,
     config: MachineConfig = SMALL,
     seed: int = 0,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
     report_path: Optional[str] = None,
 ) -> Dict[str, Dict[str, object]]:
     """The full sweep; optionally writes the JSON error-bound report.

@@ -107,7 +107,7 @@ def record_workload_trace(
     config,
     scheduler,
     seed: int = 0,
-    engine: str = "stepped",
+    engine: str = Runtime.DEFAULT_ENGINE,
     max_total_refs: int = 5_000_000,
     strict: bool = True,
     log_events: bool = False,

@@ -23,7 +23,6 @@ from repro.threads.events import (
     CondBroadcast,
     CondSignal,
     CondWait,
-    Fetch,
     Join,
     Release,
     SemPost,
@@ -48,7 +47,6 @@ __all__ = [
     "CondWait",
     "Condition",
     "DeadlockError",
-    "Fetch",
     "Join",
     "Mutex",
     "Release",

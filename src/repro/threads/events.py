@@ -1,12 +1,11 @@
 """Events a thread body yields to the runtime.
 
 A thread body is a generator; each yielded event describes one atomic
-chunk of activity.  Memory events (:class:`Touch`, :class:`Fetch`) carry
-*virtual* cache-line numbers; :class:`Compute` carries an instruction
-count; the remaining events are the synchronisation vocabulary of Active
-Threads (mutexes, semaphores, barriers, condition variables, join, yield,
-and timed sleep -- the last used by the `tasks` benchmark's
-wake/touch/block cycle).
+chunk of activity.  :class:`Touch` carries *virtual* cache-line numbers;
+:class:`Compute` carries an instruction count; the remaining events are
+the synchronisation vocabulary of Active Threads (mutexes, semaphores,
+barriers, condition variables, join, yield, and timed sleep -- the last
+used by the `tasks` benchmark's wake/touch/block cycle).
 """
 
 from __future__ import annotations
@@ -33,18 +32,6 @@ class Touch(Event):
 
     lines: np.ndarray
     write: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "lines", np.asarray(self.lines, dtype=np.int64)
-        )
-
-
-@dataclass(frozen=True)
-class Fetch(Event):
-    """Fetch a batch of instruction lines (for workloads modelling code)."""
-
-    lines: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(

@@ -88,7 +88,6 @@ _SYNC_EVENT_ATTRS = {
 _EVENT_HANDLERS = (
     (ev.Touch, "_exec_touch"),
     (ev.Compute, "_exec_compute"),
-    (ev.Fetch, "_exec_fetch"),
     (ev.Acquire, "_exec_acquire"),
     (ev.Release, "_exec_release"),
     (ev.SemWait, "_exec_sem_wait"),
@@ -148,6 +147,9 @@ class Runtime:
 
     #: the selectable scheduling-loop engines (CLI: ``--engine``)
     ENGINES = ("stepped", "event")
+    #: the engine every entry point defaults to: the stepped loop is the
+    #: reference the event engine is held bit-identical against
+    DEFAULT_ENGINE = "stepped"
 
     def __init__(
         self,
@@ -155,7 +157,7 @@ class Runtime:
         scheduler,
         injector=None,
         controller=None,
-        engine: str = "stepped",
+        engine: str = DEFAULT_ENGINE,
         quantum: Optional[int] = None,
     ) -> None:
         if engine not in self.ENGINES:
@@ -691,9 +693,6 @@ class Runtime:
     def _exec_compute(self, cpu: int, thread: ActiveThread, event) -> None:
         self.machine.compute(cpu, event.instructions)
         thread.stats.instructions += event.instructions
-
-    def _exec_fetch(self, cpu: int, thread: ActiveThread, event) -> None:
-        self.machine.fetch(cpu, event.lines)
 
     def _exec_acquire(self, cpu: int, thread: ActiveThread, event) -> None:
         self.machine.compute(cpu, SYNC_COST)

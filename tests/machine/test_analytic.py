@@ -8,24 +8,23 @@ simulated oracle bit-for-bit (no conflicts, no capacity pressure -- the
 regimes where the model is exact, not approximate).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.machine.analytic import (
-    AnalyticCache,
-    AnalyticHierarchy,
-    ReuseHistogram,
-)
+from repro.machine.analytic import AnalyticCache, ReuseHistogram
 from repro.machine.backend import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
-    HierarchyBackend,
+    CacheBackend,
     resolve_backend,
 )
+from repro.machine.cache import DirectMappedCache, SetAssociativeCache
 from repro.machine.configs import SMALL
-from repro.machine.hierarchy import CacheHierarchy
 from repro.machine.smp import Machine
 from repro.sched.fcfs import FCFSScheduler
+from repro.sim.tracer import FootprintTracer
 from repro.threads.events import Sleep, Touch
 from repro.threads.runtime import Runtime
 
@@ -41,13 +40,33 @@ class TestBackendProtocol:
 
     def test_resolve_sim(self, small_config):
         backend = resolve_backend("sim")(small_config)
-        assert isinstance(backend, CacheHierarchy)
-        assert isinstance(backend, HierarchyBackend)
+        assert isinstance(backend, DirectMappedCache)
+        assert isinstance(backend, CacheBackend)
+        assert backend.num_lines == small_config.l2_lines
+
+    def test_resolve_sim_set_associative(self, small_config):
+        backend = resolve_backend("sim")(replace(small_config, l2_ways=4))
+        assert isinstance(backend, SetAssociativeCache)
+        assert isinstance(backend, CacheBackend)
+        assert backend.ways == 4
 
     def test_resolve_analytic(self, small_config):
         backend = resolve_backend("analytic")(small_config)
-        assert isinstance(backend, AnalyticHierarchy)
-        assert isinstance(backend, HierarchyBackend)
+        assert isinstance(backend, AnalyticCache)
+        assert isinstance(backend, CacheBackend)
+
+    def test_stats_exposed_via_l2(self, small_config):
+        machine = Machine(small_config, backend="analytic")
+        machine.touch(0, lines(0, 1, 2))
+        assert machine.cpus[0].l2.stats.refs == 3
+        assert machine.cpus[0].l2.num_lines == small_config.l2_lines
+
+    def test_analytic_cache_refuses_listeners(self, small_config):
+        # no per-line events to feed a tracer: attaching one fails
+        # instead of silently never firing
+        machine = Machine(small_config, backend="analytic")
+        with pytest.raises(AttributeError):
+            FootprintTracer(machine)
 
     def test_resolve_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -172,19 +191,6 @@ class TestReuseHistogram:
         cache.access(lines(0, 1, 2))
         assert cache.hist.compulsory == 3
         assert cache.hist.total == 6
-
-
-class TestAnalyticHierarchy:
-    def test_instruction_fetches_share_the_cache(self, small_config):
-        h = AnalyticHierarchy(small_config)
-        h.access_instructions(lines(0, 1))
-        assert h.access_data(lines(0, 1)).misses == 0  # unified
-
-    def test_stats_exposed_via_l2(self, small_config):
-        h = AnalyticHierarchy(small_config)
-        h.access_data(lines(0, 1, 2))
-        assert h.l2.stats.refs == 3
-        assert h.l2.num_lines == small_config.l2_lines
 
 
 # -- bit-for-bit parity with the simulated oracle -------------------------

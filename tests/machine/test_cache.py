@@ -83,30 +83,6 @@ class TestDirectMapped:
         assert result.installed.tolist() == [17]
         assert result.misses == 2  # raw miss count is unaffected
 
-    def test_miss_lines_are_raw(self):
-        cache = self.make(num_lines=16)
-        result = cache.access(lines(1, 17))
-        assert result.miss_lines.tolist() == [1, 17]
-
-    def test_writeback_on_dirty_eviction(self):
-        cache = self.make(num_lines=16)
-        cache.access(lines(1), write=True)
-        result = cache.access(lines(17))
-        assert result.writebacks == 1
-
-    def test_no_writeback_for_clean_eviction(self):
-        cache = self.make(num_lines=16)
-        cache.access(lines(1))
-        result = cache.access(lines(17))
-        assert result.writebacks == 0
-
-    def test_write_hit_marks_dirty(self):
-        cache = self.make(num_lines=16)
-        cache.access(lines(1))
-        cache.access(lines(1), write=True)  # hit, now dirty
-        result = cache.access(lines(17))
-        assert result.writebacks == 1
-
     def test_invalidate_removes_resident(self):
         cache = self.make()
         cache.access(lines(1, 2))
@@ -199,13 +175,6 @@ class TestSetAssociative:
         cache.access(lines(1, 2, 3))
         assert cache.flush() == 3
         assert cache.resident_lines().size == 0
-
-    def test_writebacks(self):
-        cache = self.make(num_lines=8, ways=2)
-        cache.access(lines(0), write=True)
-        cache.access(lines(4))
-        result = cache.access(lines(8))  # evicts 0 (LRU, dirty)
-        assert result.writebacks == 1
 
     def test_ways_must_divide_lines(self):
         with pytest.raises(ValueError):

@@ -53,10 +53,10 @@ class TestTouchAccounting:
         cpu.touch_data(lines(1))
         assert cpu.cycles == SMALL.timings.l2_miss_remote + 1
 
-    def test_instruction_fetch_counts_refs(self, cpu):
-        cpu.fetch_instructions(lines(9))
-        refs, _hits = cpu.counters.read()
-        assert refs == 1
+    def test_data_goes_straight_to_l2(self, cpu):
+        result = cpu.touch_data(lines(1, 2, 3))
+        assert result.misses == 3
+        assert cpu.l2.stats.refs == 3
 
     def test_snapshot_contains_key_fields(self, cpu):
         cpu.touch_data(lines(1))

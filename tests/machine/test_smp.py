@@ -1,8 +1,12 @@
 """Tests for the multiprocessor: directory, coherence, clocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.machine.cache import SetAssociativeCache
+from repro.machine.configs import SMALL
 from repro.machine.smp import LineDirectory, Machine
 
 
@@ -15,25 +19,41 @@ class TestLineDirectory:
         directory = LineDirectory(4)
         directory.add(0, lines(1, 2))
         directory.add(1, lines(2))
-        assert directory.holders(2) == {0, 1}
-        assert directory.holders(1) == {0}
-        assert directory.holders(99) == set()
+        copies = directory.remote_copies(lines(1, 2, 99), cpu_id=3)
+        assert {c: held.tolist() for c, held in copies.items()} == {
+            0: [1, 2], 1: [2]
+        }
 
     def test_remove(self):
         directory = LineDirectory(4)
         directory.add(0, lines(1))
+        directory.add(1, lines(1))
         directory.remove(0, lines(1))
-        assert directory.holders(1) == set()
+        assert list(directory.remote_copies(lines(1), cpu_id=2)) == [1]
+        directory.remove(1, lines(1))
+        assert directory.remote_copies(lines(1), cpu_id=2) == {}
+        assert directory.count_remote(lines(1), cpu_id=2) == 0
 
     def test_remove_unknown_is_noop(self):
         directory = LineDirectory(4)
         directory.remove(0, lines(5))  # no error
 
-    def test_held_by_other(self):
+    def test_count_remote_excludes_the_asking_cpu(self):
         directory = LineDirectory(4)
         directory.add(0, lines(1))
-        assert directory.held_by_other(1, cpu_id=1)
-        assert not directory.held_by_other(1, cpu_id=0)
+        assert directory.count_remote(lines(1), cpu_id=0) == 0
+        directory.add(1, lines(1))  # now held elsewhere too
+        assert directory.count_remote(lines(1), cpu_id=0) == 1
+
+    def test_remote_copies_order(self):
+        directory = LineDirectory(4)
+        directory.add(2, lines(7, 5))
+        directory.add(1, lines(5))
+        directory.add(0, lines(5))
+        copies = directory.remote_copies(lines(7, 5, 9), cpu_id=0)
+        assert [(c, held.tolist()) for c, held in copies.items()] == [
+            (2, [7, 5]), (1, [5])
+        ]
 
     def test_count_remote(self):
         directory = LineDirectory(4)
@@ -68,7 +88,7 @@ class TestMachineCoherence:
         smp.touch(0, np.arange(5))
         plines = smp.vm.translate_lines(np.arange(5))
         assert smp.directory.count_remote(plines, cpu_id=1) == 5
-        smp.cpus[0].hierarchy.flush()  # evictions reach the directory
+        smp.cpus[0].l2.flush()  # evictions reach the directory
         assert smp.directory.count_remote(plines, cpu_id=1) == 0
 
     def test_total_l2_misses_sums_cpus(self, smp):
@@ -103,3 +123,12 @@ class TestMachineCoherence:
         pline = int(smp.vm.translate_lines(lines(5))[0])
         assert smp.cpus[0].l2.contains(pline)
         assert smp.cpus[1].l2.contains(pline)
+
+    def test_set_associative_config_reaches_every_cpu(self):
+        machine = Machine(replace(SMALL, num_cpus=2, l2_ways=4), seed=7)
+        assert all(
+            isinstance(cpu.l2, SetAssociativeCache) for cpu in machine.cpus
+        )
+        assert machine.touch(1, np.arange(8)).misses == 8
+        again = machine.touch(1, np.arange(8))
+        assert (again.hits, again.misses) == (8, 0)

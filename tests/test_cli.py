@@ -94,6 +94,9 @@ class TestBackendFlag:
         registry = {
             "fig7": cli._Experiment(record("fig7"), analytic=True),
             "table3": cli._Experiment(record("table3")),
+            "offline": cli._Experiment(
+                record("offline"), analytic=True, sharded=True
+            ),
         }
         monkeypatch.setattr(cli, "_experiment_registry", lambda: registry)
         return calls
@@ -116,11 +119,28 @@ class TestBackendFlag:
     ):
         from repro.parallel import ResultCache
 
-        assert main(["experiment", "fig7", "--cache-dir",
-                     str(tmp_path)]) == 0
+        assert main(["experiment", "offline", "--cache-dir",
+                     str(tmp_path), "--jobs", "2"]) == 0
         (_name, kwargs), = stub_registry
         assert isinstance(kwargs["cache"], ResultCache)
         assert kwargs["cache"].root == str(tmp_path)
+        assert kwargs["jobs"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fig7", "--jobs", "2"],
+        ["experiment", "table3", "--cache-dir", "{tmp}"],
+    ])
+    def test_unsharded_experiment_refuses_jobs_and_cache_dir(
+        self, stub_registry, capsys, tmp_path, argv
+    ):
+        cache_dir = tmp_path / "cache"
+        argv = [arg.replace("{tmp}", str(cache_dir)) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "is not a sharded sweep" in err
+        assert "offline" in err
+        assert stub_registry == []
+        assert not cache_dir.exists()
 
     def test_sim_only_experiment_refuses_analytic(
         self, stub_registry, capsys
@@ -144,6 +164,15 @@ class TestBackendFlag:
         )
         assert sim_only == ["fairness", "fig4", "inference", "table3",
                             "table5"]
+
+    def test_registry_marks_only_offline_as_sharded(self):
+        from repro.cli import _experiment_registry
+
+        sharded = [
+            name for name, entry in _experiment_registry().items()
+            if entry.sharded
+        ]
+        assert sharded == ["offline"]
 
     @pytest.mark.parametrize("argv", [
         ["faults", "run", "--backend", "cluster"],
