@@ -39,7 +39,6 @@ Quick start::
 
 from repro.core import (
     CRTScheme,
-    FootprintEstimator,
     LFFScheme,
     PrecomputedTables,
     SharedStateModel,
@@ -62,7 +61,6 @@ __all__ = [
     "CRTScheme",
     "E5000_8CPU",
     "FCFSScheduler",
-    "FootprintEstimator",
     "FootprintTracer",
     "LFFScheme",
     "LocalityScheduler",

@@ -298,16 +298,23 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    model = SharedStateModel(args.lines)
     misses = np.asarray(args.misses, dtype=np.int64)
+    try:
+        model = SharedStateModel(args.lines)
+        curves = [
+            ("running (case 1)",
+             model.expected_running(args.initial, misses)),
+            ("independent (case 2)",
+             model.expected_independent(args.initial, misses)),
+            (f"dependent q={args.q} (case 3)",
+             model.expected_dependent(args.initial, args.q, misses)),
+        ]
+    except ValueError as exc:
+        print(f"repro model: {exc}", file=sys.stderr)
+        return 2
     rows = [
-        ("running (case 1)", *(f"{v:.1f}" for v in
-                               np.atleast_1d(model.expected_running(args.initial, misses)))),
-        ("independent (case 2)", *(f"{v:.1f}" for v in
-                                   np.atleast_1d(model.expected_independent(args.initial, misses)))),
-        (f"dependent q={args.q} (case 3)",
-         *(f"{v:.1f}" for v in
-           np.atleast_1d(model.expected_dependent(args.initial, args.q, misses)))),
+        (label, *(f"{v:.1f}" for v in np.atleast_1d(values)))
+        for label, values in curves
     ]
     print(
         format_table(
@@ -790,6 +797,29 @@ def _cmd_lint(args) -> int:
     return 1 if found else 0
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for integers no smaller than ``minimum``: a
+    bad value is a usage error (exit 2), not a traceback mid-run."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    # argparse words a ValueError as "invalid <__name__> value: 'x'"
+    parse.__name__ = "int"
+    return parse
+
+
+#: ``--cpus`` and ``--jobs``
+_positive_int = _int_at_least(1)
+#: ``--seed``
+_seed = _int_at_least(0)
+
+
 def _add_backend_flag(p) -> None:
     """The ``--backend`` flag of the simulation-running commands."""
     from repro.machine.backend import BACKEND_NAMES, DEFAULT_BACKEND
@@ -836,9 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workload", choices=sorted(PERFORMANCE_WORKLOADS),
                        required=True)
     run_p.add_argument("--policy", choices=sorted(SCHEDULERS), default="lff")
-    run_p.add_argument("--cpus", type=int, default=1)
+    run_p.add_argument("--cpus", type=_positive_int, default=1)
     run_p.add_argument("--paper-scale", action="store_true")
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=_seed, default=0)
     run_p.add_argument(
         "--report", action="store_true",
         help="print the full post-run analysis instead of one row",
@@ -850,9 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="FCFS vs LFF vs CRT")
     cmp_p.add_argument("--workload", choices=sorted(PERFORMANCE_WORKLOADS),
                        required=True)
-    cmp_p.add_argument("--cpus", type=int, default=1)
+    cmp_p.add_argument("--cpus", type=_positive_int, default=1)
     cmp_p.add_argument("--paper-scale", action="store_true")
-    cmp_p.add_argument("--seed", type=int, default=0)
+    cmp_p.add_argument("--seed", type=_seed, default=0)
     _add_engine_flag(cmp_p)
     _add_backend_flag(cmp_p)
     cmp_p.set_defaults(func=_cmd_compare)
@@ -863,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted({**MONITORED_APPS, **ANOMALOUS_APPS}),
         required=True,
     )
-    trace_p.add_argument("--seed", type=int, default=0)
+    trace_p.add_argument("--seed", type=_seed, default=0)
     _add_backend_flag(trace_p)
     trace_p.set_defaults(func=_cmd_trace)
 
@@ -884,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     exp_p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes for the sharded sweep (offline only; the "
         "other experiments refuse it); results are bit-identical to "
         "--jobs 1",
@@ -921,10 +951,10 @@ def build_parser() -> argparse.ArgumentParser:
     faults_run_p.add_argument(
         "--scale", choices=("smoke", "default"), default="smoke"
     )
-    faults_run_p.add_argument("--seed", type=int, default=0)
+    faults_run_p.add_argument("--seed", type=_seed, default=0)
     _add_engine_flag(faults_run_p)
     faults_run_p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes ((workload, policy) pairs fan out; the "
         "merged table is bit-identical to --jobs 1)",
     )
@@ -1063,7 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the symbolic cache-model sweep",
     )
     mc_p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes (fixtures fan out; the merged report is "
         "bit-identical to --jobs 1)",
     )
@@ -1088,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output JSON path (default: BENCH_<suite>.json in the cwd)",
     )
     bench_run_p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes, one benchmark per shard (timing stays "
         "per-shard through the audited clock; co-scheduled shards can "
         "contend, so gate comparisons serially)",

@@ -6,15 +6,14 @@ locality priority schemes built on it.
   dependent threads, kept as an executable cross-check of the closed form.
 - :mod:`repro.core.sharing` -- the state dependency graph G built by
   ``at_share`` annotations (section 2.3).
-- :mod:`repro.core.footprints` -- the on-line footprint estimator with lazy
-  decay (the O(d)-per-switch bookkeeping of section 4).
 - :mod:`repro.core.priorities` -- the LFF and CRT log-space priority
   schemes with precomputed tables and FP-operation accounting (sections
-  4.1-4.2, Table 3).
+  4.1-4.2, Table 3).  They are also the on-line footprint bookkeeping:
+  the O(d)-per-switch lazy-decay updates of section 4, materialised by
+  ``PriorityScheme.current_footprint``.
 """
 
 from repro.core.assoc import AssocTables, AssociativeStateModel
-from repro.core.footprints import FootprintEstimator
 from repro.core.markov import (
     dependent_transition_matrix,
     expected_footprint_markov,
@@ -35,7 +34,6 @@ __all__ = [
     "AssocTables",
     "AssociativeStateModel",
     "CRTScheme",
-    "FootprintEstimator",
     "LFFScheme",
     "PrecomputedTables",
     "PriorityEntry",

@@ -66,6 +66,8 @@ class MachineConfig:
             raise ValueError("L2 size must be a whole number of lines")
         if self.l2_bytes % self.page_bytes != 0:
             raise ValueError("L2 size must be a whole number of pages")
+        if self.l2_ways < 1:
+            raise ValueError("E-cache associativity must be at least 1")
 
     @property
     def l2_lines(self) -> int:

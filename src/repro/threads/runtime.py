@@ -13,15 +13,15 @@ docs/MODEL.md "The event engine"): the quantum-stepped loop below
 (``engine="stepped"``, the default) and the event-driven loop in
 :mod:`repro.sim.events` (``engine="event"``), which parks idle cpus and
 advances simulated time to the next queued event so blocked and sleeping
-threads cost no Python work.  Sleep timers, periodic realtime wakeups,
-scheduler ticks and quantum expiries all live in one deterministic
-:class:`~repro.sim.events.EventQueue` shared by both engines.
-A thread runs until it blocks, yields, sleeps or finishes -- the paper's
-scheduling interval -- at which point the runtime performs the paper's
-context-switch protocol: read the PICs to get the interval's miss count
-``n`` (charging the few-instruction read cost), hand ``n`` to the
-scheduler for its O(d) priority updates (charging the reported cost), and
-charge the ~100-instruction base context switch [33].
+threads cost no Python work.  Sleep timers, the only queued events, live
+in one deterministic :class:`~repro.sim.events.EventQueue` shared by both
+engines.  Threads are never preempted: a thread runs until it blocks,
+yields, sleeps or finishes -- the paper's scheduling interval -- at which
+point the runtime performs the paper's context-switch protocol: read the
+PICs to get the interval's miss count ``n`` (charging the few-instruction
+read cost), hand ``n`` to the scheduler for its O(d) priority updates
+(charging the reported cost), and charge the ~100-instruction base
+context switch [33].
 
 Costs the runtime charges to the simulated clock:
 
@@ -158,18 +158,12 @@ class Runtime:
         injector=None,
         controller=None,
         engine: str = DEFAULT_ENGINE,
-        quantum: Optional[int] = None,
     ) -> None:
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {self.ENGINES}"
             )
-        if quantum is not None and quantum <= 0:
-            raise ValueError("quantum must be a positive cycle count")
         self.engine = engine
-        #: optional time-slice in cycles: arms a QUANTUM_EXPIRE event at
-        #: every dispatch; expiry forces a synthetic Yield (both engines)
-        self.quantum = quantum
         self.machine = machine
         self.scheduler = scheduler
         #: optional fault injector (see repro.faults): corrupts the hint
@@ -218,14 +212,10 @@ class Runtime:
         from repro.sim import events as sim_events
 
         #: the deterministic event queue shared by both engines: sleep
-        #: timers (THREAD_WAKEUP), periodic realtime wakeups, scheduler
-        #: ticks and quantum expiries, ordered by (time, seq, tid)
+        #: timers (THREAD_WAKEUP), ordered by (time, seq, tid)
         self.event_queue = sim_events.EventQueue()
         self._event_kinds = sim_events.EventKind
         self._event_engine = None
-        #: per-cpu dispatch generation, bumped on every successful
-        #: dispatch; lazily invalidates armed QUANTUM_EXPIRE events
-        self._dispatch_gens: List[int] = [0] * machine.config.num_cpus
         self._stepping: Optional[ActiveThread] = None
         self.last_touch_lines: Optional[np.ndarray] = None
         self.context_switches = 0
@@ -233,10 +223,6 @@ class Runtime:
         #: THREAD_WAKEUP timers that actually woke a thread -- event-time
         #: progress, the signal the watchdog's stall detector keys on
         self.timer_wakeups = 0
-        #: RT_PERIOD_START early wakeups delivered
-        self.early_wakeups = 0
-        #: QUANTUM_EXPIRE forced preemptions delivered
-        self.preemptions = 0
         #: audited count of full (faithful) scheduling-loop iterations;
         #: the event engine's O(events) complexity claim is asserted on
         #: this counter (tests/sim/test_events.py)
@@ -386,49 +372,6 @@ class Runtime:
         """Look up a thread by tid."""
         return self.threads[tid]
 
-    # -- event-queue services (docs/MODEL.md "The event engine") -------------
-
-    def at_periodic(
-        self, tid: int, period: int, start: Optional[int] = None
-    ) -> None:
-        """Mark ``tid`` as a periodic (realtime/server) thread.
-
-        Arms an ``RT_PERIOD_START`` event every ``period`` cycles
-        (first at ``start``, default one period from now): if the thread
-        is sleeping at a period boundary it is woken early, modelling a
-        periodic server loop with deadline-driven wakeups.  The early
-        wake bumps ``ready_seq`` so the thread's own pending sleep timer
-        is lazily invalidated rather than double-firing.
-        """
-        if period <= 0:
-            raise ValueError("period must be a positive cycle count")
-        if tid not in self.threads:
-            raise ThreadError(f"at_periodic on unknown tid {tid}")
-        first = self.machine.time() + period if start is None else start
-        self.event_queue.schedule(
-            first, self._event_kinds.RT_PERIOD_START, tid, period
-        )
-
-    def schedule_tick(
-        self,
-        period: int,
-        callback: Callable[["Runtime", int], None],
-        start: Optional[int] = None,
-    ) -> None:
-        """Arm a periodic ``SCHED_TICK`` callback.
-
-        ``callback(runtime, fire_time)`` runs every ``period`` cycles of
-        simulated time (first at ``start``, default one period from now)
-        while any thread is alive -- the hook progress samplers and
-        periodic diagnostics ride on.
-        """
-        if period <= 0:
-            raise ValueError("period must be a positive cycle count")
-        first = self.machine.time() + period if start is None else start
-        self.event_queue.schedule(
-            first, self._event_kinds.SCHED_TICK, 0, (callback, period)
-        )
-
     # -- the scheduling loop -------------------------------------------------
 
     def run(self, max_events: Optional[int] = None) -> None:
@@ -475,10 +418,6 @@ class Runtime:
             if cpus[i].cycles < best_cycles:
                 best, best_cycles = i, cpus[i].cycles
         return best
-
-    def _fire_due(self, now: int) -> None:
-        """Fire queued events due at ``now`` (delegates to the queue)."""
-        self.event_queue.fire_due(self, now)
 
     def _idle(self, cpu: int) -> None:
         """Nothing runnable on an idle cpu: advance its clock or detect
@@ -533,15 +472,6 @@ class Runtime:
         thread.last_cpu = cpu
         self._current[cpu] = thread
         self._charge(cpu, self.scheduler.thread_dispatched(cpu, thread))
-        if self.quantum is not None:
-            gen = self._dispatch_gens[cpu] + 1
-            self._dispatch_gens[cpu] = gen
-            self.event_queue.schedule(
-                self.machine.cycles(cpu) + self.quantum,
-                self._event_kinds.QUANTUM_EXPIRE,
-                thread.tid,
-                (cpu, thread, gen),
-            )
         for observer in self._dispatch_observers:
             observer.on_dispatch(cpu, thread)
         return thread
@@ -781,8 +711,8 @@ class Runtime:
     def _exec_sleep(self, cpu: int, thread: ActiveThread, event) -> None:
         thread.state = ThreadState.SLEEPING
         self._end_interval(cpu, thread, finished=False)
-        # ready_seq rides along so an early wake (RT_PERIOD_START) lazily
-        # invalidates this timer instead of double-waking the thread
+        # ready_seq rides along so the timer can only wake this very
+        # sleep, never a later one
         self.event_queue.schedule(
             self.machine.cycles(cpu) + event.cycles,
             self._event_kinds.THREAD_WAKEUP,

@@ -50,6 +50,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             replace(ULTRA1, l2_bytes=64 * 100)
 
+    @pytest.mark.parametrize("ways", [0, -4])
+    def test_non_positive_associativity_rejected(self, ways):
+        # not silently built as a direct-mapped cache
+        with pytest.raises(ValueError, match="associativity"):
+            replace(SMALL, l2_ways=ways)
+
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             MemoryTimings(l2_miss=0)

@@ -5,9 +5,11 @@ workload under both engines and compares the *full* observable state --
 global time, per-cpu cycle and instruction counters, PIC registers,
 miss totals, context switches, executed events, timer wakeups, the
 per-thread result signatures, and the scheduler's own pick/steal/heap
-statistics.  Any drift anywhere fails the cell; the CI ``engine-parity``
-job runs exactly this file and uploads the diff artifact written to
-``$ENGINE_PARITY_DIFF`` when a cell fails.
+statistics.  The event log's fired/emitted timeline must match too.
+Any drift anywhere fails the cell; the CI ``engine-parity`` job runs this
+file (plus the generated-workload property in
+``tests/test_fuzz_schedulers.py``) and uploads the diff artifact written
+to ``$ENGINE_PARITY_DIFF`` when a cell fails.
 """
 
 import os
@@ -18,6 +20,8 @@ from repro.faults.campaign import campaign_workloads
 from repro.machine.configs import SMALL
 from repro.machine.smp import Machine
 from repro.sched import SCHEDULERS
+from repro.sim.trace import record_workload_trace
+from repro.sim.tracer import event_timeline
 from repro.threads.runtime import Runtime
 from repro.workloads.server import ServerParams, ServerWorkload
 
@@ -40,8 +44,6 @@ def _full_state(runtime, machine, scheduler):
         "context_switches": runtime.context_switches,
         "events": runtime.events_executed,
         "timer_wakeups": runtime.timer_wakeups,
-        "early_wakeups": runtime.early_wakeups,
-        "preemptions": runtime.preemptions,
         "threads": tuple(
             sorted(
                 (
@@ -67,10 +69,10 @@ def _full_state(runtime, machine, scheduler):
     return state
 
 
-def _run_cell(policy, build, cpus, engine, **runtime_kwargs):
+def _run_cell(policy, build, cpus, engine):
     machine = Machine(SMALL.with_cpus(cpus), seed=0)
     scheduler = SCHEDULERS[policy]()
-    runtime = Runtime(machine, scheduler, engine=engine, **runtime_kwargs)
+    runtime = Runtime(machine, scheduler, engine=engine)
     build(runtime)
     runtime.run()
     return _full_state(runtime, machine, scheduler)
@@ -129,32 +131,24 @@ def test_engine_parity_sparse_server(policy):
         _assert_parity(cell, stepped, event)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_engine_parity_with_quantum_and_periodic(policy):
-    """QUANTUM_EXPIRE and RT_PERIOD_START cells: forced preemption and
-    early wakeups must land on identical cycles in both engines."""
-
-    def build(runtime):
-        from repro.threads.events import Compute, Sleep
-
-        def worker(i):
-            def body():
-                yield Compute(400)
-                yield Sleep(6_000)
-                yield Compute(400)
-
-            return body
-
-        for i in range(6):
-            tid = runtime.at_create(worker(i), name=f"w{i}")
-            if i % 2 == 0:
-                runtime.at_periodic(tid, 1_500)
-
-    for cpus in (1, 2):
-        cell = f"{policy}/quantum+rt/cpus={cpus}"
-        stepped = _run_cell(policy, build, cpus, "stepped", quantum=700)
-        event = _run_cell(policy, build, cpus, "event", quantum=700)
-        _assert_parity(cell, stepped, event)
+@pytest.mark.parametrize("workload, kind, rows", [
+    ("merge", "THREAD_BLOCK", 28),
+    ("tasks", "THREAD_WAKEUP", 96),
+])
+def test_event_timeline_parity(workload, kind, rows):
+    """``event_timeline`` reads the same rows under both engines: merge
+    logs only blocks, tasks only sleep-timer wakeups."""
+    timelines = {}
+    for engine in Runtime.ENGINES:
+        _recorder, runtime = record_workload_trace(
+            WORKLOADS[workload](), SMALL.with_cpus(4), SCHEDULERS["lff"](),
+            engine=engine, log_events=True,
+        )
+        timelines[engine] = event_timeline(runtime)
+    stepped = timelines["stepped"]
+    assert stepped == timelines["event"]
+    assert len(stepped) == rows
+    assert {row[3] for row in stepped} == {kind}
 
 
 def test_diff_artifact_written_on_mismatch(tmp_path, monkeypatch):

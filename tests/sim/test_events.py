@@ -2,8 +2,8 @@
 
 Covers the queue's deterministic ``(time, seq, tid)`` ordering (including
 a hypothesis proof that pop order is independent of heap insertion
-order), the semantics of each :class:`EventKind`, and the audited
-step-count complexity claims: the event engine's faithful loop
+order), the sleep timer end to end, and the audited step-count
+complexity claims: the event engine's faithful loop
 iterations are O(executed events), where the stepped loop pays O(cpus)
 idle iterations per busy step.  Bit-parity between the engines is pinned
 separately, cell by cell, in ``test_engine_parity.py``.
@@ -14,15 +14,13 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from repro.machine.configs import SMALL
 from repro.machine.smp import Machine
 from repro.sched import SCHEDULERS
 from repro.sched.fcfs import FCFSScheduler
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.threads.errors import StepBudgetExceeded
-from repro.threads.events import Compute, Sleep
+from repro.threads.events import Sleep
 from repro.threads.runtime import Runtime
 from repro.workloads.server import ServerParams, ServerWorkload
 
@@ -36,24 +34,23 @@ _EVENT_SPECS = st.lists(
 )
 
 
+def _key(event):
+    return (event.time, event.seq, event.tid)
+
+
 class TestEventQueue:
     @given(specs=_EVENT_SPECS)
     def test_pop_order_is_the_key_order(self, specs):
         """Pops come back sorted by (time, seq, tid), nothing dropped."""
         queue = EventQueue()
-        keys = []
-        for time, tid in specs:
-            event = queue.schedule(time, EventKind.THREAD_WAKEUP, tid)
-            keys.append(event.sort_key())
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event.sort_key())
+        keys = [
+            _key(queue.schedule(time, EventKind.THREAD_WAKEUP, tid))
+            for time, tid in specs
+        ]
+        popped = [_key(heapq.heappop(queue.heap)) for _ in specs]
         assert popped == sorted(keys)
+        assert not queue.heap
         assert queue.pushes == len(specs)
-        assert queue.pops == len(specs)
 
     @given(specs=_EVENT_SPECS, data=st.data())
     def test_pop_order_ignores_heap_insertion_order(self, specs, data):
@@ -67,36 +64,15 @@ class TestEventQueue:
         heap = []
         for event in shuffled:
             heapq.heappush(heap, event)
-        popped = [heapq.heappop(heap).sort_key() for _ in range(len(heap))]
-        assert popped == sorted(e.sort_key() for e in events)
+        popped = [_key(heapq.heappop(heap)) for _ in range(len(heap))]
+        assert popped == sorted(_key(e) for e in events)
 
     def test_schedule_order_breaks_time_ties(self):
         queue = EventQueue()
         first = queue.schedule(100, EventKind.THREAD_WAKEUP, 9)
         second = queue.schedule(100, EventKind.THREAD_WAKEUP, 1)
-        assert queue.pop() is first
-        assert queue.pop() is second
-
-    def test_cancel_is_lazy_and_skipped(self):
-        queue = EventQueue()
-        keep = queue.schedule(1, EventKind.THREAD_WAKEUP, 1)
-        drop = queue.schedule(2, EventKind.THREAD_WAKEUP, 2)
-        tail = queue.schedule(3, EventKind.THREAD_WAKEUP, 3)
-        queue.cancel(drop)
-        assert len(queue) == 3  # cancellation does not touch the heap
-        assert queue.pop() is keep
-        assert queue.pop() is tail
-        assert queue.pop() is None
-
-    def test_peek_and_next_time_skip_cancelled(self):
-        queue = EventQueue()
-        assert queue.peek() is None
-        assert queue.next_time() is None
-        head = queue.schedule(5, EventKind.THREAD_WAKEUP, 1)
-        queue.schedule(9, EventKind.THREAD_WAKEUP, 2)
-        queue.cancel(head)
-        assert queue.next_time() == 9
-        assert queue.peek().tid == 2
+        assert _key(heapq.heappop(queue.heap)) == _key(first)
+        assert _key(heapq.heappop(queue.heap)) == _key(second)
 
     def test_emit_logs_without_scheduling(self):
         queue = EventQueue()
@@ -111,90 +87,14 @@ class TestEventQueue:
         assert event.seq > 3
 
 
-# -- event kinds, end to end --------------------------------------------------
-
-
-def _new_runtime(cpus: int = 1, engine: str = "stepped", **kwargs) -> Runtime:
-    machine = Machine(SMALL.with_cpus(cpus), seed=7)
-    return Runtime(
-        machine,
-        FCFSScheduler(model_scheduler_memory=False),
-        engine=engine,
-        **kwargs,
-    )
+# -- the sleep timer, end to end -----------------------------------------------
 
 
 class TestEventKinds:
-    @pytest.mark.parametrize("engine", Runtime.ENGINES)
-    def test_quantum_expire_preempts_long_intervals(self, engine):
-        runtime = _new_runtime(engine=engine, quantum=500)
-
-        def body():
-            for _ in range(4):
-                yield Compute(1_000)
-
-        runtime.at_create(body, name="a")
-        runtime.at_create(body, name="b")
-        runtime.run()
-        assert runtime.preemptions > 0
-        assert all(not t.alive for t in runtime.threads.values())
-        # the preemption is a forced context switch, so the two threads
-        # interleave instead of running back to back
-        assert runtime.context_switches > 2
-
-    def test_quantum_expire_is_generation_guarded(self):
-        """An expiry armed for an earlier dispatch of the same thread on
-        the same cpu must not preempt a later dispatch."""
-        runtime = _new_runtime(quantum=600)
-
-        def sleeper():
-            yield Compute(100)
-            yield Sleep(5_000)  # outlives the armed expiry
-            yield Compute(100)
-
-        runtime.at_create(sleeper, name="sleeper")
-        runtime.run()
-        assert runtime.preemptions == 0
-
-    @pytest.mark.parametrize("engine", Runtime.ENGINES)
-    def test_sched_tick_fires_periodically_while_live(self, engine):
-        runtime = _new_runtime(engine=engine)
-        fires = []
-
-        def body():
-            yield Compute(5_000)
-
-        runtime.at_create(body, name="worker")
-        runtime.schedule_tick(1_000, lambda rt, now: fires.append(now))
-        runtime.run()
-        assert fires
-        assert fires == [1_000 * (i + 1) for i in range(len(fires))]
-        # ticks stop once the last thread dies (no infinite reschedule)
-        assert fires[-1] <= runtime.machine.time() + 1_000
-
-    @pytest.mark.parametrize("engine", Runtime.ENGINES)
-    def test_rt_period_start_early_wakes_and_invalidates_timer(
-        self, engine
-    ):
-        runtime = _new_runtime(engine=engine)
-
-        def body():
-            yield Compute(10)
-            yield Sleep(50_000)
-            yield Compute(10)
-
-        tid = runtime.at_create(body, name="rt")
-        runtime.at_periodic(tid, 2_000)
-        runtime.run()
-        # the period boundary woke the sleeper long before its timer ...
-        assert runtime.early_wakeups >= 1
-        assert runtime.machine.time() < 50_000
-        # ... and bumped ready_seq, so the stale sleep timer was lazily
-        # invalidated rather than waking the thread twice
-        assert runtime.timer_wakeups == 0
-
     def test_timer_wakeups_audited(self):
-        runtime = _new_runtime()
+        runtime = Runtime(
+            Machine(SMALL, seed=7), FCFSScheduler(model_scheduler_memory=False)
+        )
 
         def body():
             for _ in range(3):

@@ -35,6 +35,61 @@ class TestParser:
             build_parser().parse_args(["faults"])
 
 
+class TestNumberFlags:
+    """Out-of-range numbers are usage errors: exit 2 with one line on
+    stderr, before any simulation or sweep starts."""
+
+    _FAULT_CELL = ["faults", "run", "--workload", "tasks",
+                   "--fault", "counter_zero", "--policy", "fcfs"]
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["run", "--workload", "tasks", "--cpus", "0"],
+                     "--cpus: must be at least 1, got 0", id="run-cpus"),
+        pytest.param(["compare", "--workload", "tasks", "--cpus", "-2"],
+                     "--cpus: must be at least 1, got -2", id="compare-cpus"),
+        pytest.param(["run", "--workload", "tasks", "--seed", "-1"],
+                     "--seed: must be at least 0, got -1", id="run-seed"),
+        pytest.param(["compare", "--workload", "tasks", "--seed", "-1"],
+                     "--seed: must be at least 0, got -1",
+                     id="compare-seed"),
+        pytest.param(["trace", "--app", "merge", "--seed", "-3"],
+                     "--seed: must be at least 0, got -3", id="trace-seed"),
+        pytest.param(_FAULT_CELL + ["--seed", "-1"],
+                     "--seed: must be at least 0, got -1", id="faults-seed"),
+        pytest.param(_FAULT_CELL + ["--jobs", "0"],
+                     "--jobs: must be at least 1, got 0", id="faults-jobs"),
+        pytest.param(["experiment", "offline", "--jobs", "0"],
+                     "--jobs: must be at least 1, got 0",
+                     id="experiment-jobs"),
+        pytest.param(["mc", "--budget", "small", "--jobs", "0"],
+                     "--jobs: must be at least 1, got 0", id="mc-jobs"),
+        pytest.param(["bench", "run", "--suite", "smoke", "--jobs", "0",
+                      "--out", "{tmp}/BENCH_smoke.json"],
+                     "--jobs: must be at least 1, got 0", id="bench-jobs"),
+        pytest.param(["model", "--lines", "0"], "at least 2 lines",
+                     id="model-lines"),
+        pytest.param(["model", "--q", "1.5"],
+                     "sharing coefficient must be in [0, 1]", id="model-q"),
+        pytest.param(["model", "--initial", "-5"],
+                     "initial footprint must lie in", id="model-initial"),
+        pytest.param(["model", "--misses", "-3"],
+                     "miss counts must be non-negative", id="model-misses"),
+    ])
+    def test_out_of_range_is_a_one_line_usage_error(
+        self, argv, message, capsys, tmp_path
+    ):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err.strip().splitlines()[-1]
+        assert "Traceback" not in err
+        assert not (tmp_path / "BENCH_smoke.json").exists()
+
+
 class TestCommands:
     def test_model_command(self, capsys):
         assert main(["model", "--lines", "256", "--initial", "50",

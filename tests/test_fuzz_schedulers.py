@@ -9,7 +9,10 @@ run to completion under all three policies.  The invariants:
 - the same seed is bit-reproducible;
 - fault injection into the hint paths (annotations, counters) and
   absorbed thread delays leave per-thread results identical to a
-  fault-free run, with every runtime/scheduler invariant intact.
+  fault-free run, with every runtime/scheduler invariant intact;
+- the stepped and event engines are bit-identical on every generated
+  workload, under every policy and cpu count of the engine-parity
+  matrix (``tests/sim/test_engine_parity.py``).
 """
 
 from dataclasses import replace
@@ -29,12 +32,19 @@ from repro.faults import (
 )
 from repro.machine.configs import SMALL
 from repro.machine.smp import Machine
+from repro.sched import SCHEDULERS
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.locality import make_crt, make_lff
 from repro.sim.driver import workload_signature
 from repro.threads.events import Compute, Join, Sleep, Touch, Yield
 from repro.threads.runtime import Runtime
 from repro.threads.thread import ThreadState
+from tests.sim.test_engine_parity import (
+    CPU_COUNTS,
+    POLICIES,
+    _assert_parity,
+    _full_state,
+)
 
 #: a generated thread spec: list of (op, arg) tuples
 _OP = st.sampled_from(["touch", "compute", "sleep", "yield"])
@@ -87,20 +97,28 @@ def workloads(draw):
     return out
 
 
-def _run(workload, scheduler, injector=None, check_invariants=False):
-    config = replace(SMALL, name="fuzz", num_cpus=2)
-    machine = Machine(config, seed=3)
-    runtime = Runtime(machine, scheduler, injector=injector)
-    checker = None
-    if check_invariants:
-        checker = InvariantChecker(runtime, deep_every=16)
-        runtime.add_observer(checker)
-    region = machine.address_space.allocate_lines("shared", 128)
+def _new_runtime(cpus, scheduler, **kwargs):
+    machine = Machine(replace(SMALL, name="fuzz", num_cpus=cpus), seed=3)
+    return Runtime(machine, scheduler, **kwargs)
+
+
+def _create_roots(runtime, workload):
+    region = runtime.machine.address_space.allocate_lines("shared", 128)
     for i, (spec, children) in enumerate(workload):
         runtime.at_create(
             _body(runtime, region, spec, children, name=f"r{i}"),
             name=f"r{i}",
         )
+
+
+def _run(workload, scheduler, injector=None, check_invariants=False):
+    runtime = _new_runtime(2, scheduler, injector=injector)
+    machine = runtime.machine
+    checker = None
+    if check_invariants:
+        checker = InvariantChecker(runtime, deep_every=16)
+        runtime.add_observer(checker)
+    _create_roots(runtime, workload)
     runtime.run(max_events=200_000)
     if checker is not None:
         checker.deep_check()
@@ -185,3 +203,27 @@ def test_faulty_runs_replay_bit_identically(workload):
         injector=FaultInjector(_HINT_CHAOS),
     )
     assert first == second
+
+
+@given(workload=workloads())
+@settings(max_examples=50, deadline=None)
+def test_engines_bit_identical_on_generated_workloads(workload):
+    """Engine parity beyond the fixed matrix: every counter the parity
+    matrix compares, on workloads that mix sleeps (the queued event)
+    with yields, annotated forks and joins."""
+    for policy in POLICIES:
+        for cpus in CPU_COUNTS:
+            states = {}
+            for engine in Runtime.ENGINES:
+                # SCHEDULERS' defaults model scheduler memory
+                scheduler = SCHEDULERS[policy]()
+                runtime = _new_runtime(cpus, scheduler, engine=engine)
+                _create_roots(runtime, workload)
+                runtime.run(max_events=200_000)
+                states[engine] = _full_state(
+                    runtime, runtime.machine, scheduler
+                )
+            _assert_parity(
+                f"{policy}/generated/cpus={cpus}",
+                states["stepped"], states["event"],
+            )
