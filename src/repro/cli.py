@@ -193,6 +193,10 @@ def _workload(name: str, paper_scale: bool):
     return cls(params)
 
 
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def _cmd_run(args) -> int:
     if args.report:
         from repro.machine.smp import Machine
@@ -220,7 +224,7 @@ def _cmd_run(args) -> int:
     print(
         format_table(
             ["workload", "policy", "cpus", "cycles", "E-misses", "MPI",
-             "switches"],
+             "switches", "degraded"],
             [
                 (
                     result.workload,
@@ -230,6 +234,7 @@ def _cmd_run(args) -> int:
                     result.l2_misses,
                     result.mpi,
                     result.context_switches,
+                    _yes_no(result.degraded),
                 )
             ],
             title="run",
@@ -258,11 +263,12 @@ def _cmd_compare(args) -> int:
                 result.l2_misses,
                 100.0 * result.misses_eliminated_vs(base),
                 result.speedup_vs(base),
+                _yes_no(result.degraded),
             )
         )
     print(
         format_table(
-            ["policy", "E-misses", "eliminated %", "rel perf"],
+            ["policy", "E-misses", "eliminated %", "rel perf", "degraded"],
             rows,
             title=f"{args.workload} on {args.cpus} cpu(s)",
         )

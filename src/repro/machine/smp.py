@@ -1,8 +1,9 @@
 """The simulated multiprocessor.
 
-Ties together the per-cpu processors, one shared virtual memory, and a
-coherence directory that knows which cpus cache which physical lines.  The
-directory serves two purposes, both from section 5 of the paper:
+Ties together the per-cpu processors, one shared virtual memory, and, on
+an SMP, a coherence directory that knows which cpus cache which physical
+lines.  The directory serves two purposes, both from section 5 of the
+paper:
 
 - it prices Enterprise-5000 misses: 80 cycles "if the line is cached by
   another processor", 50 otherwise (and a flat 42 on the Ultra-1);
@@ -90,7 +91,7 @@ class LineDirectory:
 
 
 class Machine:
-    """An SMP: processors + shared VM + coherence directory.
+    """An SMP: processors + shared VM + (on several cpus) coherence directory.
 
     The runtime addresses the machine in *virtual* lines; translation and
     coherence happen here.  Each cpu keeps its own cycle clock; the runtime
@@ -125,7 +126,17 @@ class Machine:
             policy=placement,
             rng=rng,
         )
-        self.directory = LineDirectory(config.num_cpus)
+        #: which cpus hold each physical line; only an SMP running the sim
+        #: backend has one.  It prices remote misses and performs write
+        #: invalidation: on one cpu no line can be remote and a write has
+        #: no other copy to invalidate, and the analytic backend models
+        #: neither (the paper's model ignores invalidations too, section
+        #: 3.4)
+        self.directory: Optional[LineDirectory] = (
+            LineDirectory(config.num_cpus)
+            if config.num_cpus > 1 and not self._analytic
+            else None
+        )
         #: set while the scheduler/runtime touches its own data structures;
         #: devices configured for user-mode-only monitoring (the PCR's
         #: user/supervisor selection, section 2.2) consult this
@@ -135,27 +146,22 @@ class Machine:
             for _ in range(config.num_cpus)
         ]
         self.cpus: List[Processor] = []
+        directory = self.directory
         for cpu_id in range(config.num_cpus):
             cpu = Processor(cpu_id, config, cache_factory(config))
-            if not self._analytic:
-                # the directory prices remote misses and performs write
-                # invalidation; the analytic backend models neither (the
-                # paper's model ignores invalidations too, section 3.4),
-                # so its cpus skip the listener plumbing entirely
+            if directory is not None:
+                # the closures hold the directory, not the machine, so a
+                # machine is freed by reference counting
                 cpu.set_remote_probe(
-                    lambda plines, _cpu=cpu_id: self.directory.count_remote(
+                    lambda plines, _cpu=cpu_id: directory.count_remote(
                         plines, _cpu
                     )
                 )
                 cpu.l2.on_install(
-                    lambda plines, _cpu=cpu_id: self.directory.add(
-                        _cpu, plines
-                    )
+                    lambda plines, _cpu=cpu_id: directory.add(_cpu, plines)
                 )
                 cpu.l2.on_evict(
-                    lambda plines, _cpu=cpu_id: self.directory.remove(
-                        _cpu, plines
-                    )
+                    lambda plines, _cpu=cpu_id: directory.remove(_cpu, plines)
                 )
             self.cpus.append(cpu)
 
@@ -180,7 +186,7 @@ class Machine:
                 cpu.cycles += tlb_misses * tlb.miss_penalty
         plines = self.vm.translate_lines(vlines)
         result = cpu.touch_data(plines)
-        if write and self.config.num_cpus > 1:
+        if write and self.directory is not None:
             self._invalidate_remote_copies(cpu_id, plines)
         return result
 

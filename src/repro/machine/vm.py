@@ -14,7 +14,7 @@ like a demand-paged VM system.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -109,6 +109,19 @@ class KesslerHillPlacement(PlacementPolicy):
         self._bin_load[:] = 0
 
 
+#: table entry of an unmapped page: so far below zero that a line plus it
+#: stays negative, which lets one sign test find every unmapped line
+_UNMAPPED = -(1 << 62)
+
+
+def _grown(table: np.ndarray, need: int) -> np.ndarray:
+    """``table`` with room for at least ``need`` pages plus its sentinel."""
+    cap = table.size - 1
+    grown = np.full(max(need, 2 * cap) + 1, _UNMAPPED, dtype=np.int64)
+    grown[:cap] = table[:cap]
+    return grown
+
+
 class VirtualMemory:
     """Demand-paged virtual memory with pluggable placement.
 
@@ -116,6 +129,17 @@ class VirtualMemory:
     is the *color* of the frame each page gets, i.e. which cache bin its
     lines index into.  A frame is identified by a physical page number whose
     low bits encode its bin:  ``ppage % num_bins == bin``.
+
+    The page tables are two growable int64 arrays, one per direction,
+    indexed by page number.  An entry holds the page's line shift (the
+    physical minus the virtual line number of each of its lines, or the
+    reverse), so translating a batch is one gather and one add; unmapped
+    pages hold ``_UNMAPPED``.  Each table's last slot is a sentinel that is
+    never mapped: gathers clip page numbers past the end onto it, so such a
+    page reads as unmapped and faults instead of aliasing a mapped slot.
+    A negative virtual line would clip onto page 0, so a batch holding one
+    is rejected; every :class:`~repro.machine.address.Region`'s lines are
+    non-negative.
     """
 
     def __init__(
@@ -135,67 +159,49 @@ class VirtualMemory:
         self.policy = policy or KesslerHillPlacement(self.num_bins, rng=rng)
         if self.policy.num_bins != self.num_bins:
             raise ValueError("placement policy built for a different cache geometry")
-        self._v2p: Dict[int, int] = {}
-        self._p2v: Dict[int, int] = {}
+        #: virtual page -> physical line - virtual line of its lines
+        self._v2p_shift = np.full(1, _UNMAPPED, dtype=np.int64)
+        #: physical page -> virtual line - physical line of its lines
+        self._p2v_shift = np.full(1, _UNMAPPED, dtype=np.int64)
         self._next_frame_in_bin: List[int] = list(range(self.num_bins))
         self.page_faults = 0
 
-    def translate_page(self, vpage: int) -> int:
-        """Physical page for ``vpage``, faulting it in if necessary."""
-        ppage = self._v2p.get(vpage)
-        if ppage is None:
-            ppage = self._fault(vpage)
-        return ppage
-
-    def _fault(self, vpage: int) -> int:
+    def _fault(self, vpage: int) -> None:
         self.page_faults += 1
         color = self.policy.choose_bin(vpage)
         ppage = self._next_frame_in_bin[color]
         self._next_frame_in_bin[color] += self.num_bins
-        self._v2p[vpage] = ppage
-        self._p2v[ppage] = vpage
-        return ppage
+        if vpage >= self._v2p_shift.size - 1:
+            self._v2p_shift = _grown(self._v2p_shift, vpage + 1)
+        if ppage >= self._p2v_shift.size - 1:
+            self._p2v_shift = _grown(self._p2v_shift, ppage + 1)
+        shift = (ppage - vpage) * self.lines_per_page
+        self._v2p_shift[vpage] = shift
+        self._p2v_shift[ppage] = -shift
 
     def translate_lines(self, vlines: np.ndarray) -> np.ndarray:
         """Translate an array of virtual line numbers to physical lines.
 
-        Vectorised per page: a touch batch typically spans few pages, so we
-        loop over the unique pages and translate each page's lines at once.
+        One gather of each line's page shift; only when some line lands on
+        an unmapped page are that batch's unmapped pages faulted in, in
+        ascending page order (the order the placement policy sees), before
+        a second gather.
         """
         vlines = np.asarray(vlines, dtype=np.int64)
         if vlines.size == 0:
             return vlines
-        lpp = self.lines_per_page
-        vpages = vlines // lpp
-        offsets = vlines - vpages * lpp
-        first = int(vpages[0])
-        if vpages[-1] == first and (vpages == first).all():
-            # single-page batch: one translation covers every line
-            return self.translate_page(first) * lpp + offsets
-        uniq, inverse = np.unique(vpages, return_inverse=True)
-        bases = np.empty(uniq.shape, dtype=np.int64)
-        for i, vpage in enumerate(uniq.tolist()):
-            bases[i] = self.translate_page(vpage) * lpp
-        return bases[inverse] + offsets
-
-    def reverse_line(self, pline: int) -> Optional[int]:
-        """Virtual line for a physical line, or ``None`` if unmapped."""
-        lpp = self.lines_per_page
-        vpage = self._p2v.get(pline // lpp)
-        if vpage is None:
-            return None
-        return vpage * lpp + pline % lpp
+        if vlines[vlines.argmin()] < 0:
+            raise ValueError("virtual line numbers must be non-negative")
+        vpages = vlines // self.lines_per_page
+        plines = vlines + self._v2p_shift.take(vpages, mode="clip")
+        if plines[plines.argmin()] < 0:
+            for vpage in np.unique(vpages[plines < 0]).tolist():
+                self._fault(vpage)
+            plines = vlines + self._v2p_shift.take(vpages, mode="clip")
+        return plines
 
     def reverse_lines(self, plines: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`reverse_line`; unmapped lines map to ``-1``."""
-        lpp = self.lines_per_page
-        out = np.empty(plines.shape, dtype=np.int64)
-        for i, pline in enumerate(plines):
-            vline = self.reverse_line(int(pline))
-            out[i] = -1 if vline is None else vline
-        return out
-
-    @property
-    def mapped_pages(self) -> int:
-        """Number of virtual pages currently mapped."""
-        return len(self._v2p)
+        """Virtual line of each physical line; unmapped lines map to ``-1``."""
+        plines = np.asarray(plines, dtype=np.int64)
+        shifts = self._p2v_shift.take(plines // self.lines_per_page, mode="clip")
+        return np.maximum(plines + shifts, -1)

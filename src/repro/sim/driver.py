@@ -82,6 +82,7 @@ def _perf_result(workload: Workload, runtime: Runtime) -> PerfResult:
         l2_refs=sum(cpu.l2.stats.refs for cpu in machine.cpus),
         context_switches=runtime.context_switches,
         steals=getattr(runtime.scheduler, "steals", 0),
+        degraded=getattr(runtime.scheduler, "degraded", False),
     )
 
 

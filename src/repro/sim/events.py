@@ -141,9 +141,12 @@ class EventQueue:
         #: from it; ``None`` keeps the hot path free of log checks)
         self.log: Optional[List[Event]] = None
         self._log_limit = 0
+        #: events the log had no room for once it held ``limit`` rows
+        self.log_dropped = 0
 
     def enable_log(self, limit: int = 4096) -> None:
-        """Keep the first ``limit`` fired/emitted events in :attr:`log`."""
+        """Keep the first ``limit`` fired/emitted events in :attr:`log`
+        and count the rest in :attr:`log_dropped`."""
         if self.log is None:
             self.log = []
         self._log_limit = limit
@@ -161,8 +164,12 @@ class EventQueue:
 
     def _log(self, event: Event) -> None:
         log = self.log
-        if log is not None and len(log) < self._log_limit:
+        if log is None:
+            return
+        if len(log) < self._log_limit:
             log.append(event)
+        else:
+            self.log_dropped += 1
 
     def __len__(self) -> int:
         return len(self.heap)

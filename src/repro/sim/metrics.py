@@ -21,6 +21,9 @@ class PerfResult:
     l2_refs: int
     context_switches: int
     steals: int = 0
+    #: the scheduler stopped trusting its counters and fell back to FCFS
+    #: ordering (LFF/CRT only); its numbers are then not the policy's
+    degraded: bool = False
     extra: Dict[str, float] = field(default_factory=dict)
 
     @property

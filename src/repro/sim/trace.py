@@ -110,24 +110,24 @@ def record_workload_trace(
     engine: str = Runtime.DEFAULT_ENGINE,
     max_total_refs: int = 5_000_000,
     strict: bool = True,
-    log_events: bool = False,
+    log_events: int = 0,
 ) -> Tuple[ReferenceTraceRecorder, "Runtime"]:
     """Run a workload to completion while recording reference traces.
 
     Returns ``(recorder, runtime)``.  ``engine`` selects the scheduling
     loop (``"stepped"`` or ``"event"``); because the engines are
     bit-identical (docs/MODEL.md), the recorded traces are too, so the
-    off-line analyses below can be driven from either.  ``log_events``
-    additionally enables the event queue's audit log
-    (``runtime.event_queue.log``) for timeline reconstruction -- see
-    :func:`repro.sim.tracer.event_timeline`.
+    off-line analyses below can be driven from either.  A non-zero
+    ``log_events`` additionally enables the event queue's audit log
+    (``runtime.event_queue.log``) with room for that many rows, for
+    timeline reconstruction -- see :func:`repro.sim.tracer.event_timeline`.
     """
     from repro.machine.smp import Machine
 
     machine = Machine(config, seed=seed)
     runtime = Runtime(machine, scheduler, engine=engine)
     if log_events:
-        runtime.event_queue.enable_log()
+        runtime.event_queue.enable_log(limit=log_events)
     recorder = ReferenceTraceRecorder(
         max_total_refs=max_total_refs, strict=strict
     )

@@ -9,21 +9,128 @@ adopts).  The tracer:
 - learns state membership from ``Runtime.declare_state`` (virtual lines),
 - subscribes to every cpu's E-cache install/evict/invalidate stream
   (physical lines, translated back through the VM reverse map),
-- keeps per-(cpu, thread) resident counts incrementally, so sampling is
-  O(1) at any moment.
+- keeps per-(cpu, owner group) resident counts incrementally in numpy
+  arrays, so an install or evict batch costs a few array operations and
+  sampling a thread sums the counts of the few groups it belongs to.
 
 Lines shared by several threads count toward each of their footprints,
-exactly as in the paper's shared-state setting.
+exactly as in the paper's shared-state setting.  Owners are read at each
+install and eviction, so state should be declared before its lines are
+touched (``run_monitored`` flushes the cache before declaring the work
+thread's state): a line resident when its state is declared counts for
+the new owner only when it leaves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+import functools
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.machine.smp import Machine
+from repro.machine.vm import VirtualMemory
 from repro.threads.runtime import Observer
+
+
+class _Footprints:
+    """The tracer's arrays, which its cache listeners update.
+
+    Every per-line array is indexed by virtual line and has one spare last
+    slot, where an unmapped line (reverse translation's ``-1``) lands:
+
+    - ``group[vline]``: the line's owner group, an index into ``owners``
+      (group 0 owns nothing);
+    - ``held[cpu, vline]``: the line's install into ``cpu``'s E-cache has
+      been counted and its eviction not yet seen.
+
+    ``counts[cpu, g]`` is the number of lines installed into ``cpu``'s
+    E-cache while in group ``g``, minus those evicted while in it.  A
+    thread's observed footprint is the sum over the groups it belongs to,
+    so a line several threads declared counts once for each owner.  The
+    listeners reach only this object and the VM, never the tracer or the
+    machine, so a machine and its tracer are freed by reference counting.
+    """
+
+    def __init__(self, vm: VirtualMemory, num_cpus: int) -> None:
+        self._vm = vm
+        #: write invalidation can report a line twice in one batch, and
+        #: only an SMP invalidates
+        self._unique_evictions = num_cpus > 1
+        self.group = np.zeros(1, dtype=np.int64)
+        self.held = np.zeros((num_cpus, 1), dtype=bool)
+        self.counts = np.zeros((num_cpus, 1), dtype=np.int64)
+        self.owners: List[Tuple[int, ...]] = [()]
+        self._group_of: Dict[Tuple[int, ...], int] = {(): 0}
+        #: tid -> the groups it belongs to
+        self.groups_of: Dict[int, List[int]] = {}
+
+    def cover(self, vlines: np.ndarray) -> np.ndarray:
+        """``vlines``, after growing the arrays to index all of them."""
+        size = self.group.size - 1
+        if vlines.size and vlines[vlines.argmax()] >= size:
+            grown = max(int(vlines.max()) + 1, 2 * size) + 1
+            group = np.zeros(grown, dtype=np.int64)
+            group[:size] = self.group[:size]
+            held = np.zeros((self.held.shape[0], grown), dtype=bool)
+            held[:, :size] = self.held[:, :size]
+            self.group, self.held = group, held
+        return vlines
+
+    def declare(self, tid: int, vlines: np.ndarray) -> None:
+        """Add ``tid`` to the owners of ``vlines``."""
+        vlines = np.asarray(vlines, dtype=np.int64)
+        if not vlines.size:
+            return
+        if vlines[vlines.argmin()] < 0:
+            raise ValueError("declared virtual lines must be non-negative")
+        self.cover(vlines)
+        groups, inverse = np.unique(self.group[vlines], return_inverse=True)
+        joined = [self._join(g, tid) for g in groups.tolist()]
+        self.group[vlines] = np.asarray(joined, dtype=np.int64)[inverse]
+
+    def _join(self, group: int, tid: int) -> int:
+        owners = self.owners[group]
+        if tid in owners:
+            return group
+        owners = tuple(sorted(owners + (tid,)))
+        joined = self._group_of.get(owners)
+        if joined is None:
+            joined = self._group_of[owners] = len(self.owners)
+            self.owners.append(owners)
+            for owner in owners:
+                self.groups_of.setdefault(owner, []).append(joined)
+            column = np.zeros((self.counts.shape[0], 1), dtype=np.int64)
+            self.counts = np.hstack([self.counts, column])
+        return joined
+
+    def install(self, cpu: int, plines: np.ndarray) -> None:
+        vlines = self.cover(self._vm.reverse_lines(plines))
+        held = self.held[cpu]
+        fresh = vlines[~held[vlines]]
+        held[fresh] = True
+        self.counts[cpu] += np.bincount(
+            self.group[fresh], minlength=self.counts.shape[1]
+        )
+
+    def evict(self, cpu: int, plines: np.ndarray) -> None:
+        vlines = self.cover(self._vm.reverse_lines(plines))
+        held = self.held[cpu]
+        gone = vlines[held[vlines]]
+        if self._unique_evictions:
+            gone = np.unique(gone)
+        held[gone] = False
+        self.counts[cpu] -= np.bincount(
+            self.group[gone], minlength=self.counts.shape[1]
+        )
+
+    def per_thread(self, counts: np.ndarray) -> Dict[int, int]:
+        """tid -> its non-zero sum of ``counts`` (one row, per group)."""
+        sums = {
+            tid: int(counts[groups].sum())
+            for tid, groups in sorted(self.groups_of.items())
+        }
+        return {tid: c for tid, c in sums.items() if c != 0}
 
 
 class FootprintTracer(Observer):
@@ -31,100 +138,71 @@ class FootprintTracer(Observer):
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self._vm = machine.vm
-        # virtual line -> tids whose state contains it
-        self._state: Dict[int, Tuple[int, ...]] = {}
-        # per cpu: tid -> resident line count
-        self._counts: List[Dict[int, int]] = [
-            {} for _ in machine.cpus
-        ]
-        # per cpu: resident physical lines we have attributed (guards
-        # against double counting when a line is re-installed)
-        self._attributed: List[Set[int]] = [set() for _ in machine.cpus]
+        self._footprints = _Footprints(machine.vm, len(machine.cpus))
         for cpu_id, cpu in enumerate(machine.cpus):
-            cpu.l2.on_install(self._make_listener(cpu_id, installed=True))
-            cpu.l2.on_evict(self._make_listener(cpu_id, installed=False))
+            cpu.l2.on_install(
+                functools.partial(self._footprints.install, cpu_id)
+            )
+            cpu.l2.on_evict(functools.partial(self._footprints.evict, cpu_id))
 
     # -- state declaration -----------------------------------------------------
 
     def on_state_declared(self, tid: int, vlines: np.ndarray) -> None:
-        state = self._state
-        for vline in vlines.tolist():
-            existing = state.get(vline)
-            if existing is None:
-                state[vline] = (tid,)
-            elif tid not in existing:
-                state[vline] = existing + (tid,)
-
-    # -- cache event plumbing -----------------------------------------------------
-
-    def _make_listener(self, cpu_id: int, installed: bool):
-        def listener(plines: np.ndarray) -> None:
-            self._apply(cpu_id, plines, installed)
-
-        return listener
-
-    def _apply(self, cpu_id: int, plines: np.ndarray, installed: bool) -> None:
-        counts = self._counts[cpu_id]
-        attributed = self._attributed[cpu_id]
-        reverse = self._vm.reverse_line
-        state = self._state
-        delta = 1 if installed else -1
-        for pline in plines.tolist():
-            if installed:
-                if pline in attributed:
-                    continue  # already counted (shouldn't normally happen)
-            else:
-                if pline not in attributed:
-                    continue  # evicting a line we never attributed
-            vline = reverse(pline)
-            owners = state.get(vline) if vline is not None else None
-            if installed:
-                attributed.add(pline)
-            else:
-                attributed.discard(pline)
-            if not owners:
-                continue
-            for tid in owners:
-                counts[tid] = counts.get(tid, 0) + delta
+        self._footprints.declare(tid, vlines)
 
     # -- queries ------------------------------------------------------------------
 
     def observed(self, cpu: int, tid: int) -> int:
         """Current observed footprint of ``tid`` in ``cpu``'s E-cache."""
-        return self._counts[cpu].get(tid, 0)
+        groups = self._footprints.groups_of.get(tid)
+        if groups is None:
+            return 0
+        row = self._footprints.counts[cpu]
+        if len(groups) == 1:
+            return int(row[groups[0]])
+        return int(row[groups].sum())
 
     def observed_all(self, cpu: int) -> Dict[int, int]:
         """All non-zero observed footprints on one cpu."""
-        return {tid: c for tid, c in self._counts[cpu].items() if c > 0}
+        counts = self._footprints.per_thread(self._footprints.counts[cpu])
+        return {tid: c for tid, c in counts.items() if c > 0}
 
     def check_consistency(self, cpu: int) -> bool:
         """Recompute footprints from the cache contents and compare with
         the incremental counts (used by the test suite)."""
-        recount: Dict[int, int] = {}
-        for pline in self.machine.cpus[cpu].l2.resident_lines().tolist():
-            vline = self._vm.reverse_line(pline)
-            for tid in self._state.get(vline, ()):
-                recount[tid] = recount.get(tid, 0) + 1
-        current = {t: c for t, c in self._counts[cpu].items() if c != 0}
-        return recount == current
+        footprints = self._footprints
+        resident = self.machine.cpus[cpu].l2.resident_lines()
+        vlines = footprints.cover(self.machine.vm.reverse_lines(resident))
+        recount = np.bincount(
+            footprints.group[vlines], minlength=footprints.counts.shape[1]
+        )
+        return footprints.per_thread(recount) == footprints.per_thread(
+            footprints.counts[cpu]
+        )
 
 
 def event_timeline(runtime) -> List[Tuple[int, int, int, str]]:
     """The run's fired-event timeline as ``(time, seq, tid, kind)`` rows.
 
     Reads the event queue's audit log (``enable_log()`` must have been
-    called before the run; see
+    called before the run, with a limit that covers every event -- a
+    truncated log raises instead of passing for the whole run; see
     :func:`repro.sim.trace.record_workload_trace`).  The rows are in
     firing order and -- because both engines share one
     :class:`~repro.sim.events.EventQueue` with the deterministic
     ``(time, seq, tid)`` ordering -- identical between ``--engine
     stepped`` and ``--engine event``.
     """
-    log = runtime.event_queue.log
-    if log is None:
+    queue = runtime.event_queue
+    if queue.log is None:
         raise ValueError(
             "event logging was not enabled; call "
             "runtime.event_queue.enable_log() before the run"
         )
-    return [(e.time, e.seq, e.tid, e.kind.name) for e in log]
+    if queue.log_dropped:
+        raise ValueError(
+            f"the event log dropped {queue.log_dropped} events past its "
+            f"{len(queue.log)} rows; raise enable_log(limit=) (the "
+            "log_events= of record_workload_trace) to cover the whole run"
+        )
+    return [(e.time, e.seq, e.tid, e.kind.name) for e in queue.log]

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.cache import SetAssociativeCache
-from repro.machine.configs import SMALL
+from repro.machine.configs import SMALL, ULTRA1
 from repro.machine.smp import LineDirectory, Machine
 
 
@@ -132,3 +134,53 @@ class TestMachineCoherence:
         assert machine.touch(1, np.arange(8)).misses == 8
         again = machine.touch(1, np.arange(8))
         assert (again.hits, again.misses) == (8, 0)
+
+
+def _wire_directory(machine):
+    """Give a 1-cpu machine the directory probe and listeners an SMP has."""
+    directory = LineDirectory(1)
+    cpu = machine.cpus[0]
+    cpu.set_remote_probe(lambda plines: directory.count_remote(plines, 0))
+    cpu.l2.on_install(lambda plines: directory.add(0, plines))
+    cpu.l2.on_evict(lambda plines: directory.remove(0, plines))
+    return directory
+
+
+class TestUniprocessorHasNoDirectory:
+    def test_no_directory_wiring(self):
+        for config in (SMALL, ULTRA1):
+            machine = Machine(config, seed=0)
+            cpu = machine.cpus[0]
+            assert machine.directory is None
+            assert cpu._remote_probe is None
+            assert cpu.l2._install_listeners == []
+            assert cpu.l2._evict_listeners == []
+
+    def test_smp_keeps_its_directory(self, smp):
+        assert isinstance(smp.directory, LineDirectory)
+        assert all(cpu._remote_probe is not None for cpu in smp.cpus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 99),
+        touches=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 1023), min_size=1, max_size=40),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    def test_same_cycles_and_misses_as_with_a_directory(self, seed, touches):
+        bare = Machine(SMALL, seed=seed)
+        wired = Machine(SMALL, seed=seed)
+        directory = _wire_directory(wired)
+        for lines, write in touches:
+            vlines = np.asarray(lines, dtype=np.int64)
+            bare.touch(0, vlines, write=write)
+            wired.touch(0, vlines, write=write)
+            assert bare.snapshot() == wired.snapshot()
+        assert bare.cpus[0].remote_misses == 0
+        resident = wired.cpus[0].l2.resident_lines()
+        assert directory.count_remote(resident, cpu_id=0) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.vm import (
     KesslerHillPlacement,
@@ -22,22 +24,27 @@ def make_vm(policy_cls=KesslerHillPlacement, cache_bytes=16 * 1024,
     )
 
 
+def first_lines(vm, vpages):
+    """Physical line of the first line of each of ``vpages``."""
+    vlines = np.asarray(vpages, dtype=np.int64) * vm.lines_per_page
+    return vm.translate_lines(vlines).tolist()
+
+
 class TestTranslation:
     def test_translation_is_stable(self):
         vm = make_vm()
-        first = vm.translate_page(5)
-        assert vm.translate_page(5) == first
+        first = first_lines(vm, [5])
+        assert first_lines(vm, [5]) == first
 
     def test_distinct_vpages_get_distinct_frames(self):
         vm = make_vm()
-        frames = {vm.translate_page(v) for v in range(50)}
-        assert len(frames) == 50
+        assert len(set(first_lines(vm, range(50)))) == 50
 
     def test_page_faults_counted_once_per_page(self):
         vm = make_vm()
-        vm.translate_page(1)
-        vm.translate_page(1)
-        vm.translate_page(2)
+        first_lines(vm, [1])
+        first_lines(vm, [1])
+        first_lines(vm, [2])
         assert vm.page_faults == 2
 
     def test_translate_lines_preserves_offsets(self):
@@ -54,7 +61,8 @@ class TestTranslation:
 
     def test_frame_color_matches_bin(self):
         vm = make_vm()
-        ppage = vm.translate_page(3)
+        (pline,) = first_lines(vm, [3])
+        ppage = pline // vm.lines_per_page
         # the frame's bin is encoded in its low bits
         assert 0 <= ppage % vm.num_bins < vm.num_bins
 
@@ -67,7 +75,11 @@ class TestTranslation:
 
     def test_reverse_unmapped_line_is_none(self):
         vm = make_vm()
-        assert vm.reverse_line(123456) is None
+        first_lines(vm, [0])
+        lpp = vm.lines_per_page
+        # an unmapped frame inside the table, and one past its end
+        out = vm.reverse_lines(np.asarray([lpp + 1, 123456], dtype=np.int64))
+        assert out.tolist() == [-1, -1]
 
     def test_reverse_lines_unmapped_marked(self):
         vm = make_vm()
@@ -76,9 +88,9 @@ class TestTranslation:
 
     def test_mapped_pages(self):
         vm = make_vm()
-        vm.translate_page(0)
-        vm.translate_page(9)
-        assert vm.mapped_pages == 2
+        first_lines(vm, [0, 9])
+        first_lines(vm, [9, 0])
+        assert vm.page_faults == 2
 
     def test_cache_must_be_page_multiple(self):
         with pytest.raises(ValueError):
@@ -129,3 +141,87 @@ class TestPlacementPolicies:
         second = [policy.choose_bin(64 + v) for v in range(64)]
         aligned = sum(1 for a, b in zip(first, second) if a == b)
         assert aligned < 40  # not systematically aligned
+
+
+class _ScalarPageTable:
+    """Reference model: dict page tables, one translation per page.
+
+    Each batch's distinct pages are translated one at a time in ascending
+    order, each faulting through the placement policy if unmapped -- the
+    fault order the array tables must reproduce.
+    """
+
+    def __init__(self, vm_args):
+        self.vm = make_vm(**vm_args)
+        self.v2p = {}
+        self.page_faults = 0
+
+    def translate_lines(self, vlines):
+        vm = self.vm
+        lpp = vm.lines_per_page
+        for vpage in sorted({v // lpp for v in vlines}):
+            if vpage not in self.v2p:
+                self.page_faults += 1
+                color = vm.policy.choose_bin(vpage)
+                self.v2p[vpage] = vm._next_frame_in_bin[color]
+                vm._next_frame_in_bin[color] += vm.num_bins
+        return [self.v2p[v // lpp] * lpp + v % lpp for v in vlines]
+
+
+class TestArrayPageTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy=st.sampled_from([KesslerHillPlacement, NaivePlacement]),
+        seed=st.integers(0, 2**16),
+        batches=st.lists(
+            st.lists(
+                # lines 32 to a page: up to 4,000 pages, far past any
+                # table built so far, so batches also fault pages in
+                # beyond the end of the current table
+                st.one_of(st.integers(0, 255), st.integers(0, 4000 * 32)),
+                min_size=1,
+                max_size=48,
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_translate_lines_matches_scalar_reference(self, policy, seed, batches):
+        vm_args = dict(policy_cls=policy, seed=seed)
+        vm = make_vm(**vm_args)
+        reference = _ScalarPageTable(vm_args)
+        for batch in batches:
+            vlines = np.asarray(batch, dtype=np.int64)
+            plines = vm.translate_lines(vlines)
+            assert plines.tolist() == reference.translate_lines(batch)
+            assert vm.page_faults == reference.page_faults
+            assert (
+                vm.policy.rng.bit_generator.state
+                == reference.vm.policy.rng.bit_generator.state
+            )
+            assert vm.reverse_lines(plines).tolist() == batch
+        vpages = sorted(reference.v2p)
+        lpp = vm.lines_per_page
+        assert first_lines(vm, vpages) == [reference.v2p[v] * lpp for v in vpages]
+        assert vm.page_faults == reference.page_faults == len(vpages)
+
+    def test_page_past_the_table_faults(self):
+        vm = make_vm()
+        lpp = vm.lines_per_page
+        (page0,) = first_lines(vm, [0])
+        far = np.asarray([1000 * lpp + 3], dtype=np.int64)
+        pline = int(vm.translate_lines(far)[0])
+        assert vm.page_faults == 2
+        assert pline // lpp != page0 // lpp
+        back = vm.reverse_lines(np.asarray([pline, 10**9], dtype=np.int64))
+        assert back.tolist() == [1000 * lpp + 3, -1]
+
+    def test_negative_page_rejected(self):
+        # page 0 mapped to a frame past 0: a negative line clipped onto it
+        # would read as a mapped physical line
+        vm = make_vm()
+        page0, _ = first_lines(vm, [0, 1])
+        assert page0 > 0
+        with pytest.raises(ValueError):
+            vm.translate_lines(np.asarray([3, -1], dtype=np.int64))
+        assert vm.page_faults == 2

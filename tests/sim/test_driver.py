@@ -43,6 +43,20 @@ class TestRunPerformance:
         ]
         assert results[0] == results[1]
 
+    def test_degraded_run_says_so(self):
+        """A locality scheduler that fell back to FCFS ordering reports it,
+        under its own name."""
+        workload = TasksParams(num_tasks=8, periods=3)
+        degraded = make_lff(model_scheduler_memory=False)
+        degraded.degraded = True
+        result = run_performance(TasksWorkload(workload), SMALL, degraded)
+        assert result.degraded is True
+        assert result.scheduler == "lff"
+        healthy = run_performance(
+            TasksWorkload(workload), SMALL, make_lff(model_scheduler_memory=False)
+        )
+        assert healthy.degraded is False
+
 
 class TestRunMonitored:
     def test_trace_structure(self):

@@ -142,7 +142,7 @@ def test_event_timeline_parity(workload, kind, rows):
     for engine in Runtime.ENGINES:
         _recorder, runtime = record_workload_trace(
             WORKLOADS[workload](), SMALL.with_cpus(4), SCHEDULERS["lff"](),
-            engine=engine, log_events=True,
+            engine=engine, log_events=4096,
         )
         timelines[engine] = event_timeline(runtime)
     stepped = timelines["stepped"]

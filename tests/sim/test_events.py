@@ -11,6 +11,7 @@ separately, cell by cell, in ``test_engine_parity.py``.
 
 import heapq
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +20,12 @@ from repro.machine.smp import Machine
 from repro.sched import SCHEDULERS
 from repro.sched.fcfs import FCFSScheduler
 from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.trace import record_workload_trace
+from repro.sim.tracer import event_timeline
 from repro.threads.errors import StepBudgetExceeded
 from repro.threads.events import Sleep
 from repro.threads.runtime import Runtime
+from repro.workloads import TasksParams, TasksWorkload
 from repro.workloads.server import ServerParams, ServerWorkload
 
 
@@ -81,10 +85,33 @@ class TestEventQueue:
             queue.emit(10 + tid, EventKind.THREAD_BLOCK, tid)
         assert len(queue) == 0  # emitted events never enter the heap
         assert [e.tid for e in queue.log] == [0, 1]  # bounded log
+        assert queue.log_dropped == 1
         # emitted events consume sequence numbers: a later scheduled
         # event still sorts after them at equal times
         event = queue.schedule(10, EventKind.THREAD_WAKEUP, 9)
         assert event.seq > 3
+
+
+def test_truncated_log_is_no_timeline():
+    """6,400 sleep timers fire on tasks under LFF on two cpus: a 4,096-row
+    log keeps the first rows, counts the rest, and the timeline refuses to
+    pass for the whole run until the limit covers it."""
+
+    def run(log_events):
+        _recorder, runtime = record_workload_trace(
+            TasksWorkload(TasksParams()), SMALL.with_cpus(2), SCHEDULERS["lff"](),
+            log_events=log_events,
+        )
+        return runtime
+
+    runtime = run(4096)
+    queue = runtime.event_queue
+    assert (len(queue.log), queue.log_dropped, queue.pops) == (4096, 2304, 6400)
+    with pytest.raises(ValueError, match=r"dropped 2304 .*enable_log\(limit=\)"):
+        event_timeline(runtime)
+    rows = event_timeline(run(6400))
+    assert len(rows) == 6400
+    assert {row[3] for row in rows} == {"THREAD_WAKEUP"}
 
 
 # -- the sleep timer, end to end -----------------------------------------------

@@ -1,8 +1,17 @@
 """Tests for ground-truth footprint tracing."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.fig4 import _WalkBench
+from repro.machine.configs import SMALL
+from repro.machine.smp import Machine
 from repro.sim.tracer import FootprintTracer
 
 
@@ -61,6 +70,19 @@ class TestObservedFootprints:
         assert tracer.observed(0, 1) == 0
         assert tracer.observed(1, 1) == 10
 
+    def test_repeated_invalidation_counts_once(self, smp):
+        # a write batch naming a line twice makes the invalidation walk
+        # report the remote copy twice
+        tracer = FootprintTracer(smp)
+        tracer.on_state_declared(1, np.arange(10))
+        smp.touch(1, np.asarray([5]))
+        smp.touch(0, np.asarray([5, 5]), write=True)
+        # the precondition is the double report that CHANGES.md records as
+        # a FOUND in DirectMappedCache.invalidate; mending it makes this 1,
+        # and the tracer must read 0 either way
+        assert smp.cpus[1].l2.stats.invalidations == 2
+        assert tracer.observed(1, 1) == 0
+
     def test_consistency_check(self, machine):
         tracer = FootprintTracer(machine)
         tracer.on_state_declared(1, np.arange(50))
@@ -82,3 +104,135 @@ class TestObservedFootprints:
         tracer.on_state_declared(1, np.arange(5))
         machine.touch(0, np.arange(5))
         assert tracer.observed(0, 1) == 5
+
+
+class _PerLineTracer:
+    """Reference model: the tracer as a per-line loop over dicts and sets.
+
+    Owners are looked up when a line is installed or evicted, so a state
+    declared while lines are resident counts from its next event on;
+    a line already attributed is not counted twice.
+    """
+
+    def __init__(self, machine):
+        self.vm = machine.vm
+        self.state = {}
+        self.counts = [{} for _ in machine.cpus]
+        self.attributed = [set() for _ in machine.cpus]
+        for cpu_id, cpu in enumerate(machine.cpus):
+            cpu.l2.on_install(
+                lambda plines, c=cpu_id: self._apply(c, plines, True)
+            )
+            cpu.l2.on_evict(
+                lambda plines, c=cpu_id: self._apply(c, plines, False)
+            )
+
+    def on_state_declared(self, tid, vlines):
+        for vline in vlines.tolist():
+            owners = self.state.get(vline, ())
+            if tid not in owners:
+                self.state[vline] = owners + (tid,)
+
+    def _apply(self, cpu, plines, installed):
+        counts = self.counts[cpu]
+        attributed = self.attributed[cpu]
+        delta = 1 if installed else -1
+        vlines = self.vm.reverse_lines(plines).tolist()
+        for pline, vline in zip(plines.tolist(), vlines):
+            if (pline in attributed) == installed:
+                continue
+            if installed:
+                attributed.add(pline)
+            else:
+                attributed.discard(pline)
+            for tid in self.state.get(vline, ()):
+                counts[tid] = counts.get(tid, 0) + delta
+
+    def observed(self, cpu, tid):
+        return self.counts[cpu].get(tid, 0)
+
+
+#: virtual lines the random steps draw from: either 16 hot lines, which
+#: several threads declare and several cpus share, or four times SMALL's
+#: 256-line cache, so touches collide and evict
+_LINES = st.one_of(
+    st.lists(st.integers(0, 15), min_size=1, max_size=16),
+    st.lists(st.integers(0, 1023), min_size=1, max_size=40),
+)
+
+@st.composite
+def _step(draw):
+    """One step: declare a state, touch lines on a cpu, or flush.
+
+    Touches come three times as often, so lines stay resident long enough
+    for remote writes to invalidate them; a touch batch repeats every
+    other line, and a write batch naming a line twice makes the
+    invalidation walk report its remote copy twice.
+    """
+    kind = draw(st.sampled_from(("declare", "touch", "touch", "touch", "flush")))
+    if kind == "declare":
+        return kind, draw(st.integers(1, 5)), draw(_LINES)
+    if kind == "touch":
+        lines = draw(_LINES)
+        return kind, draw(st.integers(0, 3)), lines + lines[::2], draw(st.booleans())
+    return (kind,)
+
+
+class TestArrayTracerMatchesPerLineModel:
+    @settings(max_examples=100, deadline=None)
+    # a remote write naming a resident, declared line twice; a state
+    # declared while its lines are resident
+    @example(
+        cpus=2,
+        seed=0,
+        steps=[
+            ("declare", 1, [5]),
+            ("touch", 1, [5, 6], False),
+            ("touch", 0, [5, 5], True),
+            ("touch", 1, [7], False),
+            ("declare", 2, [5, 6, 7]),
+            ("flush",),
+        ],
+    )
+    @given(
+        cpus=st.integers(1, 4),
+        seed=st.integers(0, 99),
+        steps=st.lists(_step(), min_size=1, max_size=30),
+    )
+    def test_observed_matches_reference(self, cpus, seed, steps):
+        machine = Machine(replace(SMALL, num_cpus=cpus), seed=seed)
+        tracer = FootprintTracer(machine)
+        reference = _PerLineTracer(machine)
+        for step in steps:
+            if step[0] == "declare":
+                _, tid, lines = step
+                vlines = np.asarray(lines, dtype=np.int64)
+                tracer.on_state_declared(tid, vlines)
+                reference.on_state_declared(tid, vlines)
+            elif step[0] == "touch":
+                _, cpu, lines, write = step
+                machine.touch(cpu % cpus, np.asarray(lines), write=write)
+            else:
+                machine.flush_all()
+            for cpu in range(cpus):
+                for tid in range(1, 6):
+                    assert tracer.observed(cpu, tid) == reference.observed(
+                        cpu, tid
+                    )
+
+
+class TestReferenceCycles:
+    def test_walk_bench_freed_by_reference_counting(self):
+        """The tracer's cache listeners hold neither the tracer nor the
+        machine, so a fig4 bench needs no cyclic collection."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            bench = _WalkBench()
+            bench.pretouch(bench.consecutive_lines(0, 64))
+            refs = [weakref.ref(bench.machine), weakref.ref(bench.tracer)]
+            del bench
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sched import SCHEDULERS, make_lff
 
 
 class TestParser:
@@ -115,6 +116,23 @@ class TestCommands:
         assert main(["compare", "--workload", "tsp"]) == 0
         out = capsys.readouterr().out
         assert "fcfs" in out and "lff" in out and "crt" in out
+
+    def test_run_and_compare_print_degradation(self, capsys, monkeypatch):
+        def degraded_lff(**kwargs):
+            scheduler = make_lff(**kwargs)
+            scheduler.degraded = True
+            return scheduler
+
+        monkeypatch.setitem(SCHEDULERS, "lff", degraded_lff)
+        assert main(["run", "--workload", "tsp", "--policy", "lff"]) == 0
+        header, _rule, row = capsys.readouterr().out.splitlines()[1:4]
+        assert header.split()[-1] == "degraded"
+        assert row.split()[1] == "lff" and row.split()[-1] == "yes"
+        assert main(["compare", "--workload", "tsp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[-1] == "degraded"
+        flags = {line.split()[0]: line.split()[-1] for line in lines[3:]}
+        assert flags == {"fcfs": "no", "static": "no", "lff": "yes", "crt": "no"}
 
     def test_experiment_table3(self, capsys):
         assert main(["experiment", "table3"]) == 0
