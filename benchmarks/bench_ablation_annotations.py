@@ -7,7 +7,7 @@ misses); tsp barely changes ("adding annotations does not improve
 performance much further").
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.ablations import (
     format_annotation_ablation,
@@ -15,8 +15,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_annotation_ablation(benchmark):
-    rows = once(benchmark, run_annotation_ablation)
+def test_annotation_ablation():
+    rows = run_annotation_ablation()
     report("ablation_annotations", format_annotation_ablation(rows))
 
     # annotations matter for the sharing-heavy workloads

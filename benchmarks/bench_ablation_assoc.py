@@ -8,7 +8,7 @@ associativity while staying small for the direct-mapped case.
 
 import pytest
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.ablations import (
     format_associativity_ablation,
@@ -16,8 +16,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_associativity_ablation(benchmark):
-    results = once(benchmark, run_associativity_ablation)
+def test_associativity_ablation():
+    results = run_associativity_ablation()
     report("ablation_assoc", format_associativity_ablation(results))
 
     assert results[1]["mae"] < results[2]["mae"] < results[4]["mae"]

@@ -13,7 +13,7 @@ blinds the counters-only model, section 3.4):
   fraction of that win.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.inference_exp import (
     format_inference_comparison,
@@ -21,8 +21,8 @@ from repro.experiments.inference_exp import (
 )
 
 
-def test_sharing_inference(benchmark):
-    results = once(benchmark, run_inference_comparison)
+def test_sharing_inference():
+    results = run_inference_comparison()
     report("ablation_inference", format_inference_comparison(results))
 
     base = results["fcfs"]["misses"]

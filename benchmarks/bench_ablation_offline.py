@@ -7,7 +7,7 @@ storage grows with the run while the model's tables are a fixed few
 hundred KiB -- the trade the paper's design makes explicit.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.offline import (
     format_offline_comparison,
@@ -15,8 +15,8 @@ from repro.experiments.offline import (
 )
 
 
-def test_offline_vs_online(benchmark):
-    results = once(benchmark, run_offline_comparison)
+def test_offline_vs_online():
+    results = run_offline_comparison()
     report("ablation_offline", format_offline_comparison(results))
 
     for name, r in results.items():

@@ -10,7 +10,7 @@ reproduction's photo-SMP deviation to workload structure, not to the
 scheduler (see EXPERIMENTS.md).
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.ablations import (
     format_photo_order_ablation,
@@ -18,8 +18,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_photo_creation_order_ablation(benchmark):
-    results = once(benchmark, run_photo_order_ablation)
+def test_photo_creation_order_ablation():
+    results = run_photo_order_ablation()
     report("ablation_photo_order", format_photo_order_ablation(results))
 
     # row order: the policies cannot beat FCFS anywhere meaningful

@@ -7,7 +7,7 @@ locality win; a threshold comparable to typical footprints destroys it
 (nothing qualifies for the heaps and scheduling degenerates to FIFO).
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.ablations import (
     format_threshold_ablation,
@@ -15,8 +15,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_threshold_ablation(benchmark):
-    results = once(benchmark, run_threshold_ablation)
+def test_threshold_ablation():
+    results = run_threshold_ablation()
     report("ablation_threshold", format_threshold_ablation(results))
 
     small = results[0.0]["misses"]

@@ -10,7 +10,7 @@ misses too, for free.
 
 from dataclasses import replace
 
-from conftest import once, report
+from conftest import report
 
 from repro.machine.configs import E5000_8CPU
 from repro.machine.smp import Machine
@@ -60,8 +60,8 @@ def format_tlb_ablation(results) -> str:
     )
 
 
-def test_tlb_ablation(benchmark):
-    results = once(benchmark, run_tlb_ablation)
+def test_tlb_ablation():
+    results = run_tlb_ablation()
     report("ablation_tlb", format_tlb_ablation(results))
 
     base = results["fcfs"]

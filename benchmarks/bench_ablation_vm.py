@@ -7,13 +7,13 @@ working set with revisits, where placement decides whether pages conflict
 at all.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.ablations import format_vm_ablation, run_vm_ablation
 
 
-def test_vm_placement_ablation(benchmark):
-    results = once(benchmark, run_vm_ablation)
+def test_vm_placement_ablation():
+    results = run_vm_ablation()
     report("ablation_vm", format_vm_ablation(results))
 
     assert results["kessler-hill"] < results["naive"]

@@ -5,7 +5,7 @@ wait far above FCFS's); the fairness-boost escape hatch bounds waits at a
 measurable locality cost, with smaller boost intervals trading more.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fairness import (
     format_fairness_sweep,
@@ -13,8 +13,8 @@ from repro.experiments.fairness import (
 )
 
 
-def test_fairness_tradeoff(benchmark):
-    results = once(benchmark, run_fairness_sweep)
+def test_fairness_tradeoff():
+    results = run_fairness_sweep()
     report("fairness", format_fairness_sweep(results))
 
     # LFF starves relative to FCFS...

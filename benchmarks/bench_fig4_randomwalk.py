@@ -6,14 +6,14 @@ assumption by construction, so mean relative error must be small in every
 panel.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fig4 import run_fig4
 from repro.sim.report import format_series, format_table
 
 
-def test_fig4_random_walk(benchmark):
-    panels = once(benchmark, run_fig4)
+def test_fig4_random_walk():
+    panels = run_fig4()
     rows = []
     details = []
     for panel, curves in panels.items():

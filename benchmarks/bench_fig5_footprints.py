@@ -5,13 +5,13 @@ Sather apps in good agreement (ratio near 1); nothing anomalous (that is
 Figure 7's job).
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fig5 import format_fig5, run_fig5
 
 
-def test_fig5_application_footprints(benchmark):
-    results = once(benchmark, run_fig5)
+def test_fig5_application_footprints():
+    results = run_fig5()
     report("fig5", format_fig5(results))
 
     for name, res in results.items():

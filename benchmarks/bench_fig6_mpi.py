@@ -6,13 +6,13 @@ misses" -- early-window MPI must exceed the late steady state for the
 reload-transient apps.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fig6 import format_fig6, run_fig6, transient_ratio
 
 
-def test_fig6_mpi_series(benchmark):
-    series = once(benchmark, run_fig6)
+def test_fig6_mpi_series():
+    series = run_fig6()
     report("fig6", format_fig6(series))
 
     ratios = {

@@ -6,7 +6,7 @@ the paper's suggested MPI-switch heuristic (section 3.4) should reduce the
 error.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fig7 import (
     adaptive_prediction,
@@ -17,8 +17,8 @@ from repro.experiments.fig7 import (
 import numpy as np
 
 
-def test_fig7_overestimated_footprints(benchmark):
-    results = once(benchmark, run_fig7)
+def test_fig7_overestimated_footprints():
+    results = run_fig7()
     report("fig7", format_fig7(results))
 
     for name, res in results.items():

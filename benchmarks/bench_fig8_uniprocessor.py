@@ -11,13 +11,13 @@ Shape targets (paper Figure 8 / Table 5 1-cpu column):
   initialisation misses dominate).
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fig8 import format_fig8, run_fig8
 
 
-def test_fig8_uniprocessor(benchmark):
-    results = once(benchmark, run_fig8)
+def test_fig8_uniprocessor():
+    results = run_fig8()
     report("fig8", format_fig8(results))
 
     for policy in ("lff", "crt"):

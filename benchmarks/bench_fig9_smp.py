@@ -8,13 +8,13 @@ in row order, lockstep FIFO consumption leaves no placement freedom (see
 EXPERIMENTS.md); the tiled-creation ablation shows the paper-scale gain.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fig9 import format_fig9, run_fig9
 
 
-def test_fig9_smp(benchmark):
-    results = once(benchmark, run_fig9)
+def test_fig9_smp():
+    results = run_fig9()
     report("fig9", format_fig9(results))
 
     base = {wl: res["fcfs"] for wl, res in results.items()}

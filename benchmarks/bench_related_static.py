@@ -9,7 +9,7 @@ zero hardware support -- and the model-driven policy stays well ahead,
 which is the paper's reason to exist.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.fig8 import default_workloads
 from repro.machine.configs import E5000_8CPU
@@ -51,8 +51,8 @@ def format_static_comparison(results) -> str:
     )
 
 
-def test_static_mapping_comparison(benchmark):
-    results = once(benchmark, run_static_comparison)
+def test_static_mapping_comparison():
+    results = run_static_comparison()
     report("related_static", format_static_comparison(results))
 
     tasks = results["tasks"]

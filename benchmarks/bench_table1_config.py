@@ -4,7 +4,7 @@ Asserts and prints the exact configuration every other bench runs on, so
 the reproduction's platform parameters are part of the recorded output.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.machine.configs import E5000_8CPU, ULTRA1
 from repro.sim.report import format_table
@@ -28,8 +28,8 @@ def build_rows():
     return rows
 
 
-def test_table1_configuration(benchmark):
-    rows = once(benchmark, build_rows)
+def test_table1_configuration():
+    rows = build_rows()
     text = format_table(
         [
             "platform",

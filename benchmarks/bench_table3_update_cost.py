@@ -5,13 +5,13 @@ defining trick); blocking and dependent updates cost "just a few"
 floating-point instructions each.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.table3 import format_table3, run_table3
 
 
-def test_table3_priority_update_costs(benchmark):
-    results = once(benchmark, run_table3)
+def test_table3_priority_update_costs():
+    results = run_table3()
     report("table3", format_table3(results))
 
     for policy, costs in results.items():

@@ -7,13 +7,13 @@ tsp's uniprocessor elimination is small (compulsory misses); the SMP
 column is positive for tasks and tsp.
 """
 
-from conftest import once, report
+from conftest import report
 
 from repro.experiments.table5 import format_table5, run_table5
 
 
-def test_table5_crt_vs_fcfs(benchmark):
-    measured = once(benchmark, run_table5)
+def test_table5_crt_vs_fcfs():
+    measured = run_table5()
     report("table5", format_table5(measured))
 
     assert measured["tasks"]["elim_1cpu"] > 80.0

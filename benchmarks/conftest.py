@@ -6,14 +6,10 @@ and persists them under ``benchmarks/results/`` so the output survives
 pytest's capture.  Shape assertions (who wins, roughly by how much) keep
 the reproduction honest without pinning absolute numbers.
 
-Two generations of plumbing coexist here:
-
-- ``report``/``once``: the original pytest-benchmark path writing
-  ``results/<name>.txt``; still used by the figure/table benches;
-- ``report_suite``: the ``repro.bench`` path -- timing flows through the
-  audited harness (:func:`repro.bench.measure`) and results land as
-  machine-readable ``results/<name>.json`` in the same schema as the
-  repo-root ``BENCH_*.json`` baselines.
+- ``report`` writes a figure/table bench's ``results/<name>.txt``;
+- ``report_suite`` writes a timed bench's ``results/<name>.json``:
+  timing flows through the audited harness (:func:`repro.bench.measure`)
+  in the same schema as the repo-root ``BENCH_*.json`` baselines.
 """
 
 from __future__ import annotations
@@ -46,9 +42,3 @@ def report_suite(name: str, *results, text: str = "") -> None:
     print(f"\n{format_suite(suite)}\n")
     if text:
         print(f"{text}\n")
-
-
-def once(benchmark, func, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)

@@ -204,23 +204,11 @@ class AnnotationAuditor:
 
     # -- observer hooks ----------------------------------------------------
 
-    def on_state_declared(self, tid, vlines) -> None:
-        pass
-
-    def on_dispatch(self, cpu, thread) -> None:
-        pass
-
-    def on_block(self, cpu, thread, misses, finished) -> None:
-        pass
-
-    def on_touch(self, cpu, thread, result) -> None:
-        lines = self.runtime.last_touch_lines
-        if lines is None:
-            return
+    def on_touch(self, cpu, thread, touch) -> None:
         self._seq += 1
         seq = self._seq
         per_thread = self._touches.setdefault(thread.tid, {})
-        for line in lines.tolist():
+        for line in touch.lines.tolist():
             span = per_thread.get(line)
             per_thread[line] = (seq, seq) if span is None else (span[0], seq)
 

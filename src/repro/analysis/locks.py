@@ -151,20 +151,6 @@ class LockOrderMonitor:
         for mutex in held:
             self._blocking.append((thread.name, mutex.label, what))
 
-    def on_block(self, cpu, thread, misses, finished) -> None:
-        if finished:
-            # keep entries for finish-time diagnosis in diagnose()
-            return
-
-    def on_dispatch(self, cpu, thread) -> None:
-        pass
-
-    def on_touch(self, cpu, thread, result) -> None:
-        pass
-
-    def on_state_declared(self, tid, vlines) -> None:
-        pass
-
     def diagnose(self, source: str) -> List[Diagnostic]:
         found = self.graph.cycle_diagnostics(source)
         seen: Set[Tuple[str, str, str]] = set()

@@ -375,12 +375,6 @@ class ScheduleController:
     ) -> None:
         self._open_slice().add_thread(thread.tid)
 
-    def on_touch(self, cpu: int, thread: ActiveThread, result) -> None:
-        pass
-
-    def on_state_declared(self, tid: int, vlines) -> None:
-        pass
-
 
 class ControlledScheduler(Scheduler):
     """A zero-cost scheduler that delegates every pick to the controller.

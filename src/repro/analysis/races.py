@@ -61,9 +61,6 @@ class RaceSanitizer:
         self._read_epochs: Dict[int, Dict[int, int]] = {}
         #: (name_a, name_b, kind) -> raced lines
         self._races: Dict[Tuple[str, str, str], Set[int]] = {}
-        #: write flag of the Touch event about to be reported to on_touch
-        #: (AccessResult does not carry it; on_event sees the event first)
-        self._pending_write = False
         runtime.add_observer(self)
 
     # -- clock plumbing ----------------------------------------------------
@@ -90,9 +87,7 @@ class RaceSanitizer:
     def on_event(self, cpu, thread, event) -> None:
         tid = thread.tid
         clock = self._clock(tid)
-        if isinstance(event, ev.Touch):
-            self._pending_write = event.write
-        elif isinstance(event, ev.Acquire):
+        if isinstance(event, ev.Acquire):
             if event.mutex.owner is None:
                 released = self._mutex_release.get(id(event.mutex))
                 if released is not None:
@@ -153,21 +148,12 @@ class RaceSanitizer:
             for joiner in thread.joiners:
                 _join(self._clock(joiner.tid), clock)
 
-    def on_dispatch(self, cpu, thread) -> None:
-        pass
-
-    def on_state_declared(self, tid, vlines) -> None:
-        pass
-
-    def on_touch(self, cpu, thread, result) -> None:
-        lines = self.runtime.last_touch_lines
-        if lines is None:
-            return
+    def on_touch(self, cpu, thread, touch) -> None:
         tid = thread.tid
         clock = self._clock(tid)
-        write = self._pending_write
+        write = touch.write
         own_tick = clock.get(tid, 0)
-        for line in lines.tolist():
+        for line in touch.lines.tolist():
             epoch = self._write_epoch.get(line)
             if epoch is not None and epoch[0] != tid:
                 writer, tick = epoch

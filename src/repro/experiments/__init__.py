@@ -2,7 +2,7 @@
 
 Each module exposes ``run_*`` functions returning plain data structures
 and a ``format_*`` helper producing the rows/series the paper reports.
-The ``benchmarks/`` tree wraps these in pytest-benchmark targets; the
+The ``benchmarks/`` tree runs each of these from one pytest target; the
 modules themselves are importable for interactive exploration.
 """
 

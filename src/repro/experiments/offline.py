@@ -39,11 +39,7 @@ from repro.parallel import (
 from repro.sched.fcfs import FCFSScheduler
 from repro.sim.driver import _AnalyticFootprintProbe, _WorkThreadSampler
 from repro.sim.report import format_table
-from repro.sim.trace import (
-    ReferenceTraceRecorder,
-    TracingRuntimeAdapter,
-    footprint_curve_from_trace,
-)
+from repro.sim.trace import ReferenceTraceRecorder, footprint_curve_from_trace
 from repro.sim.tracer import FootprintTracer
 from repro.threads.runtime import Runtime
 from repro.workloads import MONITORED_APPS
@@ -108,7 +104,7 @@ def _run_one_app(
     sampler = _WorkThreadSampler(machine, tracer)
     recorder = ReferenceTraceRecorder(max_total_refs=20_000_000,
                                       strict=False)
-    TracingRuntimeAdapter(runtime, recorder)
+    runtime.add_observer(recorder)
     runtime.add_observer(tracer)
     runtime.add_observer(sampler)
 

@@ -58,7 +58,8 @@ class CacheBackend(Protocol):
         """Price a touch batch in order; returns the outcome."""
 
     def invalidate(self, lines: np.ndarray) -> int:
-        """Remove lines (coherence traffic); returns lines invalidated."""
+        """Remove distinct lines (coherence traffic); returns lines
+        invalidated."""
 
     def flush(self) -> int:
         """Empty the cache; returns lines evicted."""

@@ -136,7 +136,8 @@ class _BaseCache:
         raise NotImplementedError
 
     def invalidate(self, lines: np.ndarray) -> int:
-        """Drop any resident copies of ``lines``; returns how many were."""
+        """Drop any resident copies of ``lines``, which are distinct;
+        returns how many were."""
         raise NotImplementedError
 
     def resident_lines(self) -> np.ndarray:

@@ -72,12 +72,13 @@ class LineDirectory:
     ) -> Dict[int, np.ndarray]:
         """Each other cpu that caches some of ``plines``, with those lines.
 
-        Cpus appear in the order of their first such line in ``plines``
-        (ties by cpu id); each cpu's lines keep their order in ``plines``.
+        Each line is listed once, however often ``plines`` names it.  Cpus
+        appear in the order of their first such line in ``plines`` (ties
+        by cpu id); each cpu's lines keep their first-occurrence order.
         """
         holders = self._holders
         copies: Dict[int, List[int]] = {}
-        for pline in plines.tolist():
+        for pline in dict.fromkeys(plines.tolist()):
             cpus = holders.get(pline)
             if not cpus or (cpu_id in cpus and len(cpus) == 1):
                 continue

@@ -9,7 +9,6 @@ necessary."  The tracer is measurement-only; schedulers never see it.
 
 from repro.sim.analysis import run_report, thread_summaries, cpu_summaries
 from repro.sim.driver import run_monitored, run_performance
-from repro.sim.export import monitored_to_csv, perf_results_to_csv, to_json
 from repro.sim.metrics import MonitoredResult, PerfResult, mpi_series
 from repro.sim.report import format_table
 from repro.sim.tracer import FootprintTracer
@@ -19,9 +18,6 @@ __all__ = [
     "cpu_summaries",
     "run_report",
     "thread_summaries",
-    "monitored_to_csv",
-    "perf_results_to_csv",
-    "to_json",
     "MonitoredResult",
     "PerfResult",
     "format_table",

@@ -110,7 +110,7 @@ class _WorkThreadSampler(Observer):
         self.miss_base = self.machine.cpus[self.cpu].l2.stats.misses
         self.instr_base = self.machine.cpus[self.cpu].instructions
 
-    def on_touch(self, cpu: int, thread, result) -> None:
+    def on_touch(self, cpu: int, thread, touch) -> None:
         if thread.tid != self.watch_tid or cpu != self.cpu:
             return
         cpu_obj = self.machine.cpus[self.cpu]
@@ -158,7 +158,6 @@ def run_monitored(
     app: MonitoredApp,
     config: MachineConfig = ULTRA1,
     seed: int = 0,
-    engine: str = Runtime.DEFAULT_ENGINE,
     backend: str = "sim",
 ) -> MonitoredResult:
     """Trace one work thread's footprint against the model's prediction.
@@ -173,9 +172,7 @@ def run_monitored(
     machine = Machine(config, seed=seed, backend=backend)
     # The accuracy runs are about the model, not the policy: a bare FCFS
     # with no simulated scheduler memory keeps the cache unpolluted.
-    runtime = Runtime(
-        machine, FCFSScheduler(model_scheduler_memory=False), engine=engine
-    )
+    runtime = Runtime(machine, FCFSScheduler(model_scheduler_memory=False))
     if backend == "analytic":
         tracer = _AnalyticFootprintProbe(machine)
     else:

@@ -112,13 +112,10 @@ def _run_tape(
     backend: str,
     config: MachineConfig,
     seed: int,
-    engine: str,
 ) -> Tuple[IntervalTape, tuple]:
     """One fixture run: returns the interval tape and the signature."""
     machine = Machine(config, seed=seed, backend=backend)
-    runtime = Runtime(
-        machine, FCFSScheduler(model_scheduler_memory=False), engine=engine
-    )
+    runtime = Runtime(machine, FCFSScheduler(model_scheduler_memory=False))
     tape = IntervalTape()
     runtime.add_observer(tape)
     factory().build(runtime)
@@ -140,11 +137,10 @@ def cross_check(
     factory: Callable,
     config: MachineConfig = SMALL,
     seed: int = 0,
-    engine: str = Runtime.DEFAULT_ENGINE,
 ) -> Dict[str, object]:
     """Run one fixture under both backends and compare miss streams."""
-    sim_tape, sim_sig = _run_tape(factory, "sim", config, seed, engine)
-    ana_tape, ana_sig = _run_tape(factory, "analytic", config, seed, engine)
+    sim_tape, sim_sig = _run_tape(factory, "sim", config, seed)
+    ana_tape, ana_sig = _run_tape(factory, "analytic", config, seed)
 
     aligned = [n for n, _ in sim_tape.intervals] == [
         n for n, _ in ana_tape.intervals
@@ -184,7 +180,6 @@ def run_oracle(
     workloads: Optional[Dict[str, Callable]] = None,
     config: MachineConfig = SMALL,
     seed: int = 0,
-    engine: str = Runtime.DEFAULT_ENGINE,
     report_path: Optional[str] = None,
 ) -> Dict[str, Dict[str, object]]:
     """The full sweep; optionally writes the JSON error-bound report.
@@ -195,8 +190,7 @@ def run_oracle(
     """
     workloads = workloads if workloads is not None else ORACLE_WORKLOADS
     results = {
-        name: cross_check(name, factory, config=config, seed=seed,
-                          engine=engine)
+        name: cross_check(name, factory, config=config, seed=seed)
         for name, factory in workloads.items()
     }
     if report_path is not None:
@@ -205,7 +199,7 @@ def run_oracle(
                 "l2_lines": config.l2_lines,
                 "num_cpus": config.num_cpus,
                 "seed": seed,
-                "engine": engine,
+                "engine": Runtime.DEFAULT_ENGINE,
             },
             "bounds": ORACLE_BOUNDS,
             "results": results,

@@ -13,16 +13,12 @@ approaches can be compared head to head:
 - :func:`footprint_curve_from_trace` replays a thread's trace through a
   private direct-mapped cache, producing the observed footprint as a
   function of misses -- exactly what the on-line model predicts from a
-  counter value alone;
-- :func:`reuse_distance_histogram` and :func:`working_set_sizes` are the
-  standard trace analyses (stack distances, Denning working sets) a
-  trace-driven study would report.
+  counter value alone.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,9 +32,11 @@ class TraceBudgetExceeded(Exception):
 class ReferenceTraceRecorder(Observer):
     """Records every thread's virtual-line reference stream.
 
-    ``max_total_refs`` bounds memory; exceeding it either raises (default)
-    or silently stops recording (``strict=False``), so experiments can
-    report how much trace the off-line method needed.
+    Attach it with ``runtime.add_observer``: each touch batch's virtual
+    lines are recorded under the touching thread's tid.
+    ``max_total_refs`` bounds memory; exceeding it either raises
+    (default) or silently stops recording (``strict=False``), so
+    experiments can report how much trace the off-line method needed.
     """
 
     def __init__(self, max_total_refs: int = 5_000_000, strict: bool = True):
@@ -82,24 +80,9 @@ class ReferenceTraceRecorder(Observer):
         """Bytes the recorded traces occupy (8 per reference)."""
         return 8 * self.total_refs
 
-
-class TracingRuntimeAdapter(Observer):
-    """Bridges the runtime's Touch events into a recorder.
-
-    The runtime exposes each touch batch's *virtual* lines through
-    ``runtime.last_touch_lines`` while it notifies observers; this adapter
-    forwards them into the recorder under the touching thread's tid.
-    """
-
-    def __init__(self, runtime, recorder: ReferenceTraceRecorder):
-        self.runtime = runtime
-        self.recorder = recorder
-        runtime.add_observer(self)
-
-    def on_touch(self, cpu: int, thread, result) -> None:
-        vlines = self.runtime.last_touch_lines
-        if vlines is not None and vlines.size:
-            self.recorder.record(thread.tid, vlines)
+    def on_touch(self, cpu: int, thread, touch) -> None:
+        if touch.lines.size:
+            self.record(thread.tid, touch.lines)
 
 
 def record_workload_trace(
@@ -117,7 +100,7 @@ def record_workload_trace(
     Returns ``(recorder, runtime)``.  ``engine`` selects the scheduling
     loop (``"stepped"`` or ``"event"``); because the engines are
     bit-identical (docs/MODEL.md), the recorded traces are too, so the
-    off-line analyses below can be driven from either.  A non-zero
+    off-line replay below can be driven from either.  A non-zero
     ``log_events`` additionally enables the event queue's audit log
     (``runtime.event_queue.log``) with room for that many rows, for
     timeline reconstruction -- see :func:`repro.sim.tracer.event_timeline`.
@@ -131,7 +114,7 @@ def record_workload_trace(
     recorder = ReferenceTraceRecorder(
         max_total_refs=max_total_refs, strict=strict
     )
-    TracingRuntimeAdapter(runtime, recorder)
+    runtime.add_observer(recorder)
     workload.build(runtime)
     runtime.run()
     return recorder, runtime
@@ -165,49 +148,3 @@ def footprint_curve_from_trace(
         xs.append(misses)
         ys.append(footprint)
     return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-
-
-def reuse_distance_histogram(
-    trace: np.ndarray, max_distance: Optional[int] = None
-) -> Dict[int, int]:
-    """LRU stack distances: unique lines touched between successive uses.
-
-    Cold references get distance -1.  ``max_distance`` lumps longer
-    distances into one bucket (keyed by ``max_distance``).
-    """
-    stack: "OrderedDict[int, None]" = OrderedDict()
-    histogram: Dict[int, int] = {}
-    for line in np.asarray(trace, dtype=np.int64).tolist():
-        if line in stack:
-            distance = 0
-            for key in reversed(stack):
-                if key == line:
-                    break
-                distance += 1
-            if max_distance is not None and distance > max_distance:
-                distance = max_distance
-            stack.move_to_end(line)
-        else:
-            distance = -1
-            stack[line] = None
-        histogram[distance] = histogram.get(distance, 0) + 1
-    return histogram
-
-
-def working_set_sizes(trace: np.ndarray, window: int) -> np.ndarray:
-    """Denning working sets: distinct lines in each trailing window."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    trace = np.asarray(trace, dtype=np.int64)
-    sizes = np.empty(max(0, trace.size - window + 1), dtype=np.int64)
-    counts: Dict[int, int] = {}
-    for i, line in enumerate(trace.tolist()):
-        counts[line] = counts.get(line, 0) + 1
-        if i >= window:
-            old = int(trace[i - window])
-            counts[old] -= 1
-            if counts[old] == 0:
-                del counts[old]
-        if i >= window - 1:
-            sizes[i - window + 1] = len(counts)
-    return sizes

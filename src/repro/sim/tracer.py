@@ -14,11 +14,10 @@ adopts).  The tracer:
   sampling a thread sums the counts of the few groups it belongs to.
 
 Lines shared by several threads count toward each of their footprints,
-exactly as in the paper's shared-state setting.  Owners are read at each
-install and eviction, so state should be declared before its lines are
-touched (``run_monitored`` flushes the cache before declaring the work
-thread's state): a line resident when its state is declared counts for
-the new owner only when it leaves.
+exactly as in the paper's shared-state setting.  A declaration counts
+the declared lines already resident, so a thread's observed footprint is
+always its declared lines in the cache, whatever the order of
+declarations and touches.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ class _Footprints:
 
     def __init__(self, vm: VirtualMemory, num_cpus: int) -> None:
         self._vm = vm
-        #: write invalidation can report a line twice in one batch, and
-        #: only an SMP invalidates
-        self._unique_evictions = num_cpus > 1
         self.group = np.zeros(1, dtype=np.int64)
         self.held = np.zeros((num_cpus, 1), dtype=bool)
         self.counts = np.zeros((num_cpus, 1), dtype=np.int64)
@@ -78,16 +74,29 @@ class _Footprints:
         return vlines
 
     def declare(self, tid: int, vlines: np.ndarray) -> None:
-        """Add ``tid`` to the owners of ``vlines``."""
+        """Add ``tid`` to the owners of ``vlines``; the lines each cpu
+        holds leave their old groups' counts for their new groups'."""
         vlines = np.asarray(vlines, dtype=np.int64)
         if not vlines.size:
             return
         if vlines[vlines.argmin()] < 0:
             raise ValueError("declared virtual lines must be non-negative")
         self.cover(vlines)
+        # each held line once, however often ``vlines`` names it; only the
+        # held subset is deduplicated, as numpy's unique is slow on a
+        # large state
+        held = [np.unique(vlines[row[vlines]]) for row in self.held]
+        for cpu, lines in enumerate(held):
+            self.counts[cpu] -= np.bincount(
+                self.group[lines], minlength=self.counts.shape[1]
+            )
         groups, inverse = np.unique(self.group[vlines], return_inverse=True)
         joined = [self._join(g, tid) for g in groups.tolist()]
         self.group[vlines] = np.asarray(joined, dtype=np.int64)[inverse]
+        for cpu, lines in enumerate(held):
+            self.counts[cpu] += np.bincount(
+                self.group[lines], minlength=self.counts.shape[1]
+            )
 
     def _join(self, group: int, tid: int) -> int:
         owners = self.owners[group]
@@ -117,8 +126,6 @@ class _Footprints:
         vlines = self.cover(self._vm.reverse_lines(plines))
         held = self.held[cpu]
         gone = vlines[held[vlines]]
-        if self._unique_evictions:
-            gone = np.unique(gone)
         held[gone] = False
         self.counts[cpu] -= np.bincount(
             self.group[gone], minlength=self.counts.shape[1]

@@ -115,8 +115,10 @@ class Observer:
     def on_dispatch(self, cpu: int, thread: ActiveThread) -> None:
         """A thread started a scheduling interval."""
 
-    def on_touch(self, cpu: int, thread: ActiveThread, result) -> None:
-        """A touch batch completed (``result`` is the E-cache result)."""
+    def on_touch(self, cpu: int, thread: ActiveThread, touch) -> None:
+        """A touch batch completed; ``touch`` is the
+        :class:`~repro.threads.events.Touch` the body yielded (its
+        virtual ``lines`` and ``write`` flag)."""
 
     def on_block(
         self, cpu: int, thread: ActiveThread, misses: int, finished: bool
@@ -217,7 +219,6 @@ class Runtime:
         self._event_kinds = sim_events.EventKind
         self._event_engine = None
         self._stepping: Optional[ActiveThread] = None
-        self.last_touch_lines: Optional[np.ndarray] = None
         self.context_switches = 0
         self.events_executed = 0
         #: THREAD_WAKEUP timers that actually woke a thread -- event-time
@@ -612,13 +613,8 @@ class Runtime:
     def _exec_touch(self, cpu: int, thread: ActiveThread, event) -> None:
         result = self.machine.touch(cpu, event.lines, write=event.write)
         thread.stats.refs += result.refs
-        if self._touch_observers:
-            #: the virtual lines of the touch being reported to observers
-            #: (trace recorders read this; see repro.sim.trace)
-            self.last_touch_lines = event.lines
-            for observer in self._touch_observers:
-                observer.on_touch(cpu, thread, result)
-            self.last_touch_lines = None
+        for observer in self._touch_observers:
+            observer.on_touch(cpu, thread, event)
 
     def _exec_compute(self, cpu: int, thread: ActiveThread, event) -> None:
         self.machine.compute(cpu, event.instructions)

@@ -71,16 +71,16 @@ class TestObservedFootprints:
         assert tracer.observed(1, 1) == 10
 
     def test_repeated_invalidation_counts_once(self, smp):
-        # a write batch naming a line twice makes the invalidation walk
-        # report the remote copy twice
+        # a write batch naming a line twice invalidates the remote copy
+        # once, and reports it once
         tracer = FootprintTracer(smp)
         tracer.on_state_declared(1, np.arange(10))
+        evicted = []
+        smp.cpus[1].l2.on_evict(lambda plines: evicted.extend(plines.tolist()))
         smp.touch(1, np.asarray([5]))
         smp.touch(0, np.asarray([5, 5]), write=True)
-        # the precondition is the double report that CHANGES.md records as
-        # a FOUND in DirectMappedCache.invalidate; mending it makes this 1,
-        # and the tracer must read 0 either way
-        assert smp.cpus[1].l2.stats.invalidations == 2
+        assert smp.cpus[1].l2.stats.invalidations == 1
+        assert evicted == smp.vm.translate_lines(np.asarray([5])).tolist()
         assert tracer.observed(1, 1) == 0
 
     def test_consistency_check(self, machine):
@@ -98,6 +98,15 @@ class TestObservedFootprints:
         machine.touch(0, np.arange(5))
         assert tracer.observed_all(0) == {1: 5}
 
+    def test_state_declared_while_resident_counts(self, machine):
+        tracer = FootprintTracer(machine)
+        machine.touch(0, np.arange(4))
+        tracer.on_state_declared(1, np.arange(4))
+        assert tracer.observed(0, 1) == 4
+        assert tracer.check_consistency(0)
+        machine.flush_all()
+        assert tracer.observed(0, 1) == 0
+
     def test_redeclaration_is_idempotent(self, machine):
         tracer = FootprintTracer(machine)
         tracer.on_state_declared(1, np.arange(5))
@@ -109,15 +118,16 @@ class TestObservedFootprints:
 class _PerLineTracer:
     """Reference model: the tracer as a per-line loop over dicts and sets.
 
-    Owners are looked up when a line is installed or evicted, so a state
-    declared while lines are resident counts from its next event on;
-    a line already attributed is not counted twice.
+    Owners are looked up when a line is installed or evicted, and a state
+    declared while lines are resident counts those lines at once; a line
+    already attributed is not counted twice.
     """
 
     def __init__(self, machine):
         self.vm = machine.vm
         self.state = {}
         self.counts = [{} for _ in machine.cpus]
+        #: per cpu, the virtual lines counted as resident
         self.attributed = [set() for _ in machine.cpus]
         for cpu_id, cpu in enumerate(machine.cpus):
             cpu.l2.on_install(
@@ -132,19 +142,21 @@ class _PerLineTracer:
             owners = self.state.get(vline, ())
             if tid not in owners:
                 self.state[vline] = owners + (tid,)
+                for counts, attributed in zip(self.counts, self.attributed):
+                    if vline in attributed:
+                        counts[tid] = counts.get(tid, 0) + 1
 
     def _apply(self, cpu, plines, installed):
         counts = self.counts[cpu]
         attributed = self.attributed[cpu]
         delta = 1 if installed else -1
-        vlines = self.vm.reverse_lines(plines).tolist()
-        for pline, vline in zip(plines.tolist(), vlines):
-            if (pline in attributed) == installed:
+        for vline in self.vm.reverse_lines(plines).tolist():
+            if (vline in attributed) == installed:
                 continue
             if installed:
-                attributed.add(pline)
+                attributed.add(vline)
             else:
-                attributed.discard(pline)
+                attributed.discard(vline)
             for tid in self.state.get(vline, ()):
                 counts[tid] = counts.get(tid, 0) + delta
 
@@ -165,9 +177,9 @@ def _step(draw):
     """One step: declare a state, touch lines on a cpu, or flush.
 
     Touches come three times as often, so lines stay resident long enough
-    for remote writes to invalidate them; a touch batch repeats every
-    other line, and a write batch naming a line twice makes the
-    invalidation walk report its remote copy twice.
+    for remote writes to invalidate them and for declarations to find
+    them resident; a touch batch repeats every other line, so a write
+    batch names some lines twice.
     """
     kind = draw(st.sampled_from(("declare", "touch", "touch", "touch", "flush")))
     if kind == "declare":
@@ -215,6 +227,7 @@ class TestArrayTracerMatchesPerLineModel:
             else:
                 machine.flush_all()
             for cpu in range(cpus):
+                assert tracer.check_consistency(cpu)
                 for tid in range(1, 6):
                     assert tracer.observed(cpu, tid) == reference.observed(
                         cpu, tid

@@ -457,6 +457,30 @@ class TestSMP:
             rt.run()
 
 
+class TestObserverHooks:
+    def test_on_touch_receives_the_yielded_touch(self, rt):
+        region = rt.alloc_lines("r", 4)
+        read = Touch(region.lines())
+        write = Touch(region.lines()[:2], write=True)
+        seen = []
+
+        class TouchOnly:
+            def on_touch(self, cpu, thread, touch):
+                seen.append((thread.tid, touch))
+
+        rt.add_observer(TouchOnly())
+
+        def body():
+            yield read
+            yield write
+
+        tid = rt.at_create(body)
+        rt.run()
+        assert [t for t, _ in seen] == [tid, tid]
+        assert seen[0][1] is read and seen[1][1] is write
+        assert [touch.write for _, touch in seen] == [False, True]
+
+
 class TestCounterOverflowSurfacing:
     def test_narrow_counters_flag_wrapped_interval(self, machine):
         from repro.machine.counters import PerformanceCounters
