@@ -1,24 +1,22 @@
-"""Analytic cache backend: order-of-magnitude wins on sweep fixtures.
+"""Analytic cache backend against the replay cache on the sweep fixture.
 
 The analytic backend (``--backend analytic``,
 ``src/repro/machine/analytic.py``) prices touch batches with the
 closed-form reuse-distance model instead of replaying every reference
-through the VM layer, the residency arrays, and the coherence
-directory.  This bench runs the five sweep-scale fixture cells (large
-touch batches, 8 cpus, LFF -- see
-``repro.bench.suites.analytic_sweep_cells``) under both backends and
-gates the two halves of the backend's contract:
+through the VM layer and the residency arrays.  This bench runs the
+five sweep-scale fixture cells (large touch batches, one cpu, LFF --
+see ``repro.bench.suites.analytic_sweep_cells``) under both backends.
 
-- **ground truth**: the per-thread correctness signature (name, refs,
-  instructions, final state) is bit-identical between backends for
-  every cell -- the backend prices misses, it never changes what the
-  programs did (miss-count *accuracy* is the oracle job's gate, with
-  per-workload bounds; it is not asserted here);
-- **speed**: the analytic sweep is at least 10x faster wall-clock in
-  total (typically ~12-13x).  The merge/tsp cells are event-bound and
-  nearly break even by design -- they document that the win comes from
-  the per-reference work, not the per-event work -- so the gate is on
-  the summed sweep time, which the batch-heavy cells dominate.
+- **ground truth** (asserted): the per-thread correctness signature
+  (name, refs, instructions, final state) is bit-identical between
+  backends for every cell -- the backend prices misses, it never
+  changes what the programs did (miss-count *accuracy* is the oracle
+  job's gate, with per-workload bounds; it is not asserted here);
+- **speed** (printed, not asserted): each cell's time under both
+  backends, and the ratio of the summed times.  The replay cache
+  prices a whole batch without a per-reference loop, and on this
+  fixture it runs about as fast as the analytic backend, so no speed
+  floor above 1x holds; docs/BENCHMARKS.md records the measurements.
 
 Timing is best-of-2: both runs are deterministic, so the minimum is the
 least-noise sample and needs no steady-state detection.
@@ -34,21 +32,15 @@ from repro.sched import SCHEDULERS
 from repro.sim.driver import workload_signature
 from repro.threads.runtime import Runtime
 
-NUM_CPUS = 8
-_CONFIG = ULTRA1.with_cpus(NUM_CPUS)
-
 #: deterministic simulation: the faster of two samples is the signal
 BEST_OF_2 = RepeatPolicy(
     warmup=0, min_repeats=2, max_repeats=2, time_budget_s=300.0,
     steady_rel_spread=0.0,
 )
 
-#: the wall-clock gate on the summed sweep (measured ~12.7x)
-MIN_SPEEDUP = 10.0
-
 
 def _run_cell(factory, backend: str):
-    machine = Machine(_CONFIG, seed=0, backend=backend)
+    machine = Machine(ULTRA1, seed=0, backend=backend)
     runtime = Runtime(machine, SCHEDULERS["lff"](), engine="stepped")
     factory().build(runtime)
     runtime.run()
@@ -65,7 +57,7 @@ def _counters(value):
     }
 
 
-def test_analytic_backend_sweep_speedup():
+def test_analytic_backend_sweep():
     cells = analytic_sweep_cells()
     total_sim = total_ana = 0.0
     lines = []
@@ -84,29 +76,21 @@ def test_analytic_backend_sweep_speedup():
         )
         total_sim += sim.stats.min_s
         total_ana += ana.stats.min_s
-        cell_speedup = sim.stats.min_s / ana.stats.min_s
         lines.append(
             f"{name}: sim {sim.stats.min_s:.3f}s vs analytic "
-            f"{ana.stats.min_s:.3f}s -> {cell_speedup:.2f}x "
+            f"{ana.stats.min_s:.3f}s -> "
+            f"{sim.stats.min_s / ana.stats.min_s:.2f}x "
             f"(sim misses {m_sim.total_l2_misses():,}, "
             f"analytic {m_ana.total_l2_misses():,})"
         )
         report_suite(f"analytic_sweep_{name}", sim, ana)
 
-    speedup = total_sim / total_ana
     print(
         "\n".join(
             lines
             + [
                 f"total: sim {total_sim:.3f}s vs analytic "
-                f"{total_ana:.3f}s -> {speedup:.2f}x"
+                f"{total_ana:.3f}s -> {total_sim / total_ana:.2f}x"
             ]
         )
-    )
-
-    # the gate: >= 10x total wall-clock on the sweep fixture
-    assert speedup >= MIN_SPEEDUP, (
-        f"analytic sweep speedup {speedup:.2f}x under the "
-        f"{MIN_SPEEDUP:.0f}x gate (sim {total_sim:.3f}s, "
-        f"analytic {total_ana:.3f}s)"
     )

@@ -15,9 +15,9 @@ Three standing suites:
   run of the same fixture as the reference; the engine-to-engine
   speedup itself is gated by ``benchmarks/bench_engine_event.py``;
 - ``analytic`` -- the analytic reuse-distance backend
-  (``machine/analytic.py``) against the replay cache on the
-  sweep-scale fixture; the backend-to-backend speedup is gated by
-  ``benchmarks/bench_analytic_sweep.py``.
+  (``machine/analytic.py``) against the replay cache on the 1-cpu
+  sweep-scale fixture; ``benchmarks/bench_analytic_sweep.py`` prints
+  the two side by side.
 
 Benchmarks report *simulated* counters (refs, misses, events, context
 switches) so the JSON carries counter-derived rates -- e.g. simulated
@@ -59,7 +59,8 @@ def _sweep_batches(num_batches: int, stride: int) -> List[np.ndarray]:
     "cache_direct_sweep", suites=("smoke", "hotpaths"), ops=48 * _BATCH
 )
 def cache_direct_sweep() -> BenchFn:
-    """Direct-mapped E-cache, vectorised path: distinct-index batches."""
+    """Direct-mapped E-cache: distinct-index batches (one gather,
+    compare and scatter each)."""
     from repro.machine.cache import DirectMappedCache
 
     cache = DirectMappedCache(_CACHE_BYTES, _LINE_BYTES)
@@ -82,7 +83,8 @@ def cache_direct_sweep() -> BenchFn:
     "cache_direct_collide", suites=("smoke", "hotpaths"), ops=16 * _BATCH
 )
 def cache_direct_collide() -> BenchFn:
-    """Direct-mapped E-cache, serial path: intra-batch index collisions."""
+    """Direct-mapped E-cache: batches whose indices collide (each priced
+    through one sort by index)."""
     from repro.machine.cache import DirectMappedCache
 
     cache = DirectMappedCache(_CACHE_BYTES, _LINE_BYTES)
@@ -90,8 +92,7 @@ def cache_direct_collide() -> BenchFn:
     batches = []
     for _ in range(16):
         base = rng.integers(0, _NUM_LINES, size=_BATCH // 2, dtype=np.int64)
-        # the second half aliases the first half's indices with new tags,
-        # forcing the ordered scalar loop
+        # the second half aliases the first half's indices with new tags
         batches.append(np.concatenate([base, base + _NUM_LINES]))
     stats = cache.stats
 
@@ -355,15 +356,12 @@ def analytic_sweep_cells():
     """The sweep-scale fixture cells for the analytic-backend benches.
 
     Chosen so the per-*reference* work dominates the per-*event* work:
-    large touch batches (2-8 thousand lines) on an 8-cpu machine are
-    where the replay backend pays per-miss Python dict work in the
-    coherence directory while the analytic backend stays vectorised --
-    the regime sweeps at the paper's 1024-thread scale live in.  The
-    merge/tsp cells are deliberately small: they are event-bound, so
-    they bound how much Amdahl overhead the total-speedup gate carries.
+    large touch batches (2-8 thousand lines), run on one cpu, the only
+    machine the analytic backend prices.  The merge/tsp cells are
+    deliberately small: they are event-bound.
 
-    Shared by the ``analytic`` suite arms below and by the speedup gate
-    in ``benchmarks/bench_analytic_sweep.py`` -- one fixture, one truth.
+    Shared by the ``analytic`` suite arms below and by
+    ``benchmarks/bench_analytic_sweep.py`` -- one fixture, one truth.
     """
     from repro.workloads.mergesort import MergeWorkload
     from repro.workloads.params import (
@@ -404,19 +402,18 @@ def analytic_sweep_cells():
 
 
 def _analytic_sweep_run(backend: str) -> BenchFn:
-    """All five sweep cells, one backend, LFF on 8 cpus."""
+    """All five sweep cells, one backend, LFF on one cpu."""
     from repro.machine.configs import ULTRA1
     from repro.sched import SCHEDULERS
     from repro.sim.driver import run_performance
 
-    config = ULTRA1.with_cpus(8)
     cells = analytic_sweep_cells()
 
     def run() -> Mapping[str, float]:
         misses = refs = switches = 0
         for _name, factory in cells:
             result = run_performance(
-                factory(), config, SCHEDULERS["lff"](),
+                factory(), ULTRA1, SCHEDULERS["lff"](),
                 seed=0, backend=backend,
             )
             misses += result.l2_misses
@@ -449,9 +446,8 @@ def analytic_sweep_analytic() -> BenchFn:
 def analytic_sweep_sim() -> BenchFn:
     """The same sweep through the replay cache (the reference cost).
 
-    The analytic-vs-sim speedup itself is gated by
-    ``benchmarks/bench_analytic_sweep.py``; this arm tracks the
-    reference cost over time.
+    ``benchmarks/bench_analytic_sweep.py`` prints the two backends'
+    times side by side; this arm tracks the reference cost over time.
     """
     return _analytic_sweep_run("sim")
 

@@ -26,7 +26,9 @@ sweep resumable via the content-addressed result cache without
 changing the output.  The other experiments are not sharded and
 refuse both flags.  ``--backend`` always names the cache backend
 (``sim`` or ``analytic``, docs/MODEL.md) of the commands that run
-simulations: ``run``, ``compare``, ``trace`` and ``experiment``.
+simulations: ``run``, ``compare``, ``trace`` and ``experiment``.  The
+analytic backend prices one cpu only, so ``run``/``compare`` with
+``--cpus`` above 1 and ``experiment fig9`` refuse it.
 
 Everything except ``bench`` (which measures host wall time) is
 deterministic given ``--seed``.
@@ -150,7 +152,7 @@ def _experiment_registry():
             "fig6": figure(run_fig6, format_fig6),
             "fig7": figure(run_fig7, format_fig7),
             "fig8": figure(run_fig8, format_fig8),
-            "fig9": figure(run_fig9, format_fig9),
+            "fig9": _Experiment(lambda **_: format_fig9(run_fig9())),
             "table3": _Experiment(lambda **_: format_table3(run_table3())),
             "table5": _Experiment(lambda **_: format_table5(run_table5())),
             "fairness": _Experiment(
@@ -197,7 +199,21 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _refuse_analytic_smp(args) -> bool:
+    """``--backend analytic`` prices one cpu only; say so and refuse."""
+    if args.backend == "analytic" and args.cpus > 1:
+        print(
+            f"repro {args.command}: --backend analytic prices one cpu "
+            f"only, not --cpus {args.cpus}",
+            file=sys.stderr,
+        )
+        return True
+    return False
+
+
 def _cmd_run(args) -> int:
+    if _refuse_analytic_smp(args):
+        return 2
     if args.report:
         from repro.machine.smp import Machine
         from repro.sim.analysis import run_report
@@ -244,6 +260,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if _refuse_analytic_smp(args):
+        return 2
     rows = []
     base = None
     for policy in ("fcfs", "static", "lff", "crt"):
@@ -834,9 +852,9 @@ def _add_backend_flag(p) -> None:
         "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
         help="cache backend: 'sim' replays every reference through the "
         "simulated E-cache, 'analytic' prices misses with the "
-        "closed-form reuse-distance model -- orders of magnitude faster "
-        "for sweeps, approximate within the bounds the analytic-oracle "
-        "CI job pins (docs/MODEL.md 'The analytic backend')",
+        "closed-form reuse-distance model on one cpu only, approximate "
+        "within the bounds the analytic-oracle CI job pins "
+        "(docs/MODEL.md 'The analytic backend')",
     )
 
 

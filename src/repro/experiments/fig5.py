@@ -27,7 +27,7 @@ def run_fig5(
     """Trace every (requested) Figure 5 application.
 
     ``backend="analytic"`` swaps the simulated cache for the closed-form
-    reuse-distance backend (fast, approximate; see docs/MODEL.md).
+    reuse-distance backend (approximate; see docs/MODEL.md).
     """
     names = apps or list(MONITORED_APPS)
     results = {}

@@ -52,9 +52,9 @@ def run_policies(
     """results[workload][policy] for the given machine.
 
     ``backend="analytic"`` prices misses with the closed-form
-    reuse-distance backend instead of simulating the caches -- orders of
-    magnitude faster for parameter sweeps, approximate within the bounds
-    the ``analytic-oracle`` CI job pins (docs/MODEL.md).
+    reuse-distance backend instead of simulating the caches, on one cpu
+    only, approximate within the bounds the ``analytic-oracle`` CI job
+    pins (docs/MODEL.md).
     """
     workloads = workloads or default_workloads()
     results: Dict[str, Dict[str, PerfResult]] = {}

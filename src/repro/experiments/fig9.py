@@ -17,9 +17,10 @@ from repro.experiments.fig8 import format_results, run_policies
 from repro.sim.metrics import PerfResult
 
 
-def run_fig9(seed: int = 0, backend: str = "sim") -> Dict[str, Dict[str, PerfResult]]:
-    """The 8-processor (E5000) sweep."""
-    return run_policies(E5000_8CPU, seed=seed, backend=backend)
+def run_fig9(seed: int = 0) -> Dict[str, Dict[str, PerfResult]]:
+    """The 8-processor (E5000) sweep, on the sim backend: the analytic
+    backend prices one cpu only."""
+    return run_policies(E5000_8CPU, seed=seed)
 
 
 def format_fig9(results) -> str:

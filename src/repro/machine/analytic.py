@@ -1,11 +1,9 @@
-"""Analytical reuse-distance cache backend (the fast path for sweeps).
+"""Analytical reuse-distance cache backend, for one cpu.
 
 The replay cache answers "how many of these touches miss" by
-simulating every reference through residency arrays, a VM translation
-layer, and a coherence directory.  That faithfulness is what the paper's
-accuracy experiments need -- and what caps sweeps far below the paper's
-1024-thread scale.  This module is the escape hatch the paper's own
-model (section 2.4 + appendix) proves exists: for a direct-mapped cache
+simulating every reference through residency arrays and a VM
+translation layer.  This module answers it from the paper's own
+model (section 2.4 + appendix): for a direct-mapped cache
 of ``N`` lines where each miss evicts a given resident line with
 probability ``1/N``, a line last touched ``d`` *misses* ago is still
 resident with probability
@@ -41,8 +39,9 @@ What the model deliberately ignores (and therefore where it errs):
   away; the simulator sees them, the analytic backend does not;
 - **coherence**: invalidations from other cpus' writes are not modelled
   (the paper's model makes the same choice, section 3.4: the PICs could
-  not count invalidations) -- on multi-cpu write-sharing workloads the
-  analytic backend under-counts misses;
+  not count invalidations).  :class:`~repro.machine.smp.Machine` takes
+  this backend on one cpu only: on an SMP its smooth per-batch costs
+  also steer the schedule they price;
 - **intra-batch eviction**: a batch's own misses do not thin the batch's
   earlier lines (negligible while batches are small next to the cache).
 

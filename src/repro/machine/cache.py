@@ -158,10 +158,15 @@ class _BaseCache:
 class DirectMappedCache(_BaseCache):
     """A physically indexed, physically tagged direct-mapped cache.
 
-    The fast path handles the common case of a batch whose line indices are
-    all distinct (e.g. a sweep over a region) with vectorised numpy; batches
-    with intra-batch index collisions fall back to an ordered scalar loop so
-    hit/miss counts stay exact.
+    A batch is priced whole, with no per-reference loop, and exactly as
+    line-at-a-time replay would price it.  After a reference, its index
+    holds its line, so within a batch each reference sees the line of the
+    previous reference to its index, and the first reference to an index
+    sees the line resident before the batch.  A stable sort by index lines
+    up each index's references in batch order; a reference hits iff it
+    sees its own line.  Each line maps to one index, so the batch's net
+    residency change is, per index, the resident line before the batch
+    out and the index's last line in, whenever the two differ.
     """
 
     def __init__(self, size_bytes: int, line_bytes: int = 64) -> None:
@@ -184,63 +189,53 @@ class DirectMappedCache(_BaseCache):
         return plines % self.num_lines
 
     def access(self, lines: np.ndarray) -> AccessResult:
+        """Access a batch of physical lines in order; returns the outcome.
+
+        ``installed`` and ``evicted`` list distinct lines: in batch order
+        when the batch's indices are distinct, else in index order.
+        """
         plines = np.asarray(lines, dtype=np.int64)
-        if plines.size == 0:
+        refs = plines.size
+        if refs == 0:
             return AccessResult(0, 0, 0, _EMPTY, _EMPTY)
-        idx = self._indices(plines)
-        if idx.size == 1 or np.unique(idx).size == idx.size:
-            result = self._access_vectorised(plines, idx)
-        else:
-            result = self._access_serial(plines, idx)
-        stats = self.stats
-        stats.refs += result.refs
-        stats.hits += result.hits
-        stats.misses += result.misses
-        self._notify(result.installed, result.evicted)
-        return result
-
-    def _access_vectorised(
-        self, plines: np.ndarray, idx: np.ndarray
-    ) -> AccessResult:
-        hit_mask = self._resident[idx] == plines
-        miss_idx = idx[~hit_mask]
-        installed = plines[~hit_mask]
-        old = self._resident[miss_idx]
-        evicted = old[old >= 0]
-        self._resident[miss_idx] = installed
-        # distinct indices mean no intra-batch reinstall: raw == net
-        return AccessResult(
-            refs=plines.size,
-            hits=int(np.count_nonzero(hit_mask)),
-            misses=installed.size,
-            installed=installed,
-            evicted=evicted,
-        )
-
-    def _access_serial(
-        self, plines: np.ndarray, idx: np.ndarray
-    ) -> AccessResult:
-        hits = 0
-        installed: List[int] = []
-        evicted: List[int] = []
         resident = self._resident
-        for pline, i in zip(plines.tolist(), idx.tolist()):
-            if resident[i] == pline:
-                hits += 1
-                continue
-            old = resident[i]
-            if old >= 0:
-                evicted.append(old)
-            resident[i] = pline
-            installed.append(pline)
-        net_in, net_out = _net_effect(installed, evicted)
-        return AccessResult(
-            refs=plines.size,
-            hits=hits,
-            misses=len(installed),
-            installed=net_in,
-            evicted=net_out,
-        )
+        idx = self._indices(plines)
+        new_group = None
+        if refs > 1:
+            order = idx.argsort(kind="stable")
+            sorted_idx = idx[order]
+            # new_group[k]: sorted reference k + 1 starts another index
+            new_group = sorted_idx[1:] != sorted_idx[:-1]
+        if new_group is None or new_group.all():
+            # distinct indices: one gather, compare and scatter
+            before = resident[idx]
+            miss = before != plines
+            installed = plines[miss]
+            evicted = before[miss]
+            resident[idx[miss]] = installed
+            hits = refs - installed.size
+        else:
+            plines = plines[order]
+            firsts = np.flatnonzero(np.concatenate(([True], new_group)))
+            at = sorted_idx[firsts]
+            before = resident[at]
+            seen = np.empty(refs, dtype=np.int64)
+            seen[1:] = plines[:-1]
+            seen[firsts] = before
+            hits = int(np.count_nonzero(seen == plines))
+            after = plines[np.append(firsts[1:], refs) - 1]
+            changed = before != after
+            installed = after[changed]
+            evicted = before[changed]
+            resident[at[changed]] = installed
+        evicted = evicted[evicted >= 0]
+        misses = refs - hits
+        stats = self.stats
+        stats.refs += refs
+        stats.hits += hits
+        stats.misses += misses
+        self._notify(installed, evicted)
+        return AccessResult(refs, hits, misses, installed, evicted)
 
     def invalidate(self, lines: np.ndarray) -> int:
         plines = np.asarray(lines, dtype=np.int64)

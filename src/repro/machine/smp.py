@@ -115,6 +115,13 @@ class Machine:
         #: entirely (repro.machine.analytic)
         self.backend = backend
         self._analytic = backend == "analytic"
+        if self._analytic and config.num_cpus > 1:
+            # its bounds hold on one cpu; on an SMP its smooth per-batch
+            # costs steer the schedule they price (docs/MODEL.md)
+            raise ValueError(
+                "the analytic backend prices one cpu only, not "
+                f"{config.num_cpus}"
+            )
         self.config = config
         rng = np.random.default_rng(seed)
         self.address_space = AddressSpace(
@@ -127,16 +134,12 @@ class Machine:
             policy=placement,
             rng=rng,
         )
-        #: which cpus hold each physical line; only an SMP running the sim
-        #: backend has one.  It prices remote misses and performs write
-        #: invalidation: on one cpu no line can be remote and a write has
-        #: no other copy to invalidate, and the analytic backend models
-        #: neither (the paper's model ignores invalidations too, section
-        #: 3.4)
+        #: which cpus hold each physical line; only an SMP has one.  It
+        #: prices remote misses and performs write invalidation: on one
+        #: cpu no line can be remote and a write has no other copy to
+        #: invalidate
         self.directory: Optional[LineDirectory] = (
-            LineDirectory(config.num_cpus)
-            if config.num_cpus > 1 and not self._analytic
-            else None
+            LineDirectory(config.num_cpus) if config.num_cpus > 1 else None
         )
         #: set while the scheduler/runtime touches its own data structures;
         #: devices configured for user-mode-only monitoring (the PCR's
@@ -176,12 +179,13 @@ class Machine:
         vlines = np.asarray(vlines, dtype=np.int64)
         if self._analytic:
             # the analytic backend prices batches in virtual-line space:
-            # no TLB, no translation, no coherence -- that skipped work
-            # is exactly where the sweep speedup comes from
+            # no TLB and no translation
             return cpu.touch_data(vlines)
         tlb = self.tlbs[cpu_id]
         if tlb is not None and vlines.size:
-            vpages = np.unique(vlines // self.vm.lines_per_page)
+            # the batch's pages, ascending, each once
+            vpages = np.sort(vlines // self.vm.lines_per_page)
+            vpages = vpages[np.append(True, vpages[1:] != vpages[:-1])]
             tlb_misses = tlb.access(vpages.tolist())
             if tlb_misses:
                 cpu.cycles += tlb_misses * tlb.miss_penalty

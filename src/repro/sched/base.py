@@ -22,7 +22,11 @@ class Scheduler:
     name = "abstract"
 
     def attach(self, runtime: "Runtime") -> None:
-        """Bind to a runtime (called once, from Runtime.__init__)."""
+        """Bind to a runtime (called once, from Runtime.__init__).
+
+        ``runtime`` is a weak proxy, so a scheduler that keeps it makes no
+        reference cycle and a finished run is freed by reference counting.
+        """
         raise NotImplementedError
 
     def thread_created(self, thread: "ActiveThread") -> int:

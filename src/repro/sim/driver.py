@@ -60,7 +60,8 @@ def run_performance(
     miss counts from reuse distances via the closed-form model
     (docs/MODEL.md "The analytic backend") -- per-thread ground truth
     (refs, instructions) is identical, miss counts are approximate
-    within the bounds the ``analytic-oracle`` CI job pins.
+    within the bounds the ``analytic-oracle`` CI job pins.  The analytic
+    backend prices one cpu only.
     """
     machine = Machine(config, seed=seed, backend=backend)
     runtime = Runtime(machine, scheduler, engine=engine)

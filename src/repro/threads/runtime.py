@@ -36,6 +36,7 @@ scheduler work        whatever the policy reports per operation
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 import numpy as np
@@ -241,12 +242,15 @@ class Runtime:
         self.counter_overflow_suspects = 0
         #: bounded trail of overflow-suspect diagnostics (first few)
         self.counter_diagnostics: List[str] = []
-        #: event class -> bound interpreter method; subclasses are added
-        #: lazily by :meth:`_resolve_handler`
+        #: event class -> interpreter method, unbound; subclasses are
+        #: added lazily by :meth:`_resolve_handler`.  Neither this table
+        #: nor the scheduler refers back to the runtime strongly, so a
+        #: finished run and its machine are freed by reference counting,
+        #: not at the next cyclic collection
         self._handlers: Dict[type, Callable] = {
-            cls: getattr(self, name) for cls, name in _EVENT_HANDLERS
+            cls: getattr(type(self), name) for cls, name in _EVENT_HANDLERS
         }
-        scheduler.attach(self)
+        scheduler.attach(weakref.proxy(self))
 
     # -- public API used by thread bodies and workloads ---------------------
 
@@ -599,14 +603,14 @@ class Runtime:
                 raise ThreadError(
                     f"{thread} yielded unknown event {event!r}"
                 )
-        handler(cpu, thread, event)
+        handler(self, cpu, thread, event)
 
     def _resolve_handler(self, cls) -> Optional[Callable]:
         """Handler lookup for event *subclasses* (exact classes hit the
         dispatch table directly); the result is memoised."""
         for base, handler in _EVENT_HANDLERS:
             if issubclass(cls, base):
-                self._handlers[cls] = getattr(self, handler)
+                self._handlers[cls] = getattr(type(self), handler)
                 return self._handlers[cls]
         return None
 

@@ -25,7 +25,7 @@ observed" for C applications.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -222,18 +222,38 @@ class BarnesLike(MonitoredApp):
             yield Touch(slab.lines(), write=True)
         yield Compute(self.num_bodies * 30)
 
+    def _walk_lines(self) -> Tuple[np.ndarray, List[int]]:
+        """Every body's walk as tree-node lines, end to end in one array,
+        and where each body's walk ends in it."""
+        node_line = _slab_lines(
+            self.tree_slabs, np.arange(self._node_count, dtype=np.int64)
+        ).tolist()
+        ends: List[int] = []
+
+        def walks():
+            end = 0
+            for x, y in self.positions.tolist():
+                walk = self._walk(x, y)
+                end += len(walk)
+                ends.append(end)
+                yield from map(node_line.__getitem__, walk)
+
+        return np.fromiter(walks(), dtype=np.int64), ends
+
     def work_body(self) -> Generator:
+        body_lines = self.bodies_region.lines()
+        force_lines = self.forces_region.lines()
+        # positions and tree never change, so each body's walk is walked
+        # once and replayed every timestep
+        node_lines, ends = self._walk_lines()
         for _step in range(self.timesteps):
-            for i in range(self.num_bodies):
-                x, y = self.positions[i]
-                visited = self._walk(float(x), float(y))
-                node_lines = _slab_lines(
-                    self.tree_slabs, np.asarray(visited, dtype=np.int64)
-                )
-                yield Touch(self.bodies_region.lines()[i : i + 1])
-                yield Touch(node_lines)
-                yield Touch(self.forces_region.lines()[i : i + 1], write=True)
-                yield Compute(len(visited) * 12)
+            start = 0
+            for i, end in enumerate(ends):
+                yield Touch(body_lines[i : i + 1])
+                yield Touch(node_lines[start:end])
+                yield Touch(force_lines[i : i + 1], write=True)
+                yield Compute((end - start) * 12)
+                start = end
 
     def state_regions(self) -> List[Region]:
         return [self.bodies_region, self.forces_region] + list(self.tree_slabs)
@@ -276,13 +296,6 @@ class FmmLike(MonitoredApp):
             "fmm-coarse", max(1, n_cells // 16)
         )
 
-    def _cell_particles(self, cell: int) -> np.ndarray:
-        ppc = self.particles_per_cell
-        return _slab_lines(
-            self.particle_slabs,
-            np.arange(cell * ppc, (cell + 1) * ppc, dtype=np.int64),
-        )
-
     def init_body(self) -> Generator:
         for region in self._arena:
             yield Touch(region.lines(), write=True)
@@ -292,22 +305,29 @@ class FmmLike(MonitoredApp):
 
     def work_body(self) -> Generator:
         g = self.grid
+        ppc = self.particles_per_cell
+        # row c: cell c's particle lines
+        particles = _slab_lines(
+            self.particle_slabs, np.arange(g * g * ppc, dtype=np.int64)
+        ).reshape(g * g, ppc)
+        cell_lines = self.cells_region.lines()
+        coarse_lines = self.coarse_region.lines()
         for cy in range(g):
             for cx in range(g):
                 cell = cy * g + cx
                 # near field: this cell's and the 8 neighbours' particles
-                lines = [self._cell_particles(cell)]
+                near = [cell]
                 for dy in (-1, 0, 1):
                     for dx in (-1, 0, 1):
                         nx, ny = cx + dx, cy + dy
                         if (dx or dy) and 0 <= nx < g and 0 <= ny < g:
-                            lines.append(self._cell_particles(ny * g + nx))
-                yield Touch(np.concatenate(lines))
-                yield Touch(self.cells_region.lines()[cell : cell + 1], write=True)
+                            near.append(ny * g + nx)
+                yield Touch(particles[near].ravel())
+                yield Touch(cell_lines[cell : cell + 1], write=True)
                 # far field: the coarse-level cell
                 coarse = (cy // 4) * (g // 4) + cx // 4
-                yield Touch(self.coarse_region.lines()[coarse : coarse + 1])
-                yield Compute(9 * self.particles_per_cell * 8)
+                yield Touch(coarse_lines[coarse : coarse + 1])
+                yield Compute(9 * ppc * 8)
 
     def state_regions(self) -> List[Region]:
         return [self.cells_region, self.coarse_region] + list(self.particle_slabs)

@@ -32,6 +32,7 @@ import numpy as np
 from repro.machine.address import Region
 from repro.threads.events import Compute, Touch
 from repro.workloads.base import MonitoredApp
+from repro.workloads.splash import _slab_lines
 
 
 class TypecheckerLike(MonitoredApp):
@@ -82,13 +83,6 @@ class TypecheckerLike(MonitoredApp):
                 )
         self.ast_region = runtime.alloc_lines("ast", self.ast_nodes // 2)
 
-    def _type_lines(self, type_id: int) -> np.ndarray:
-        """The line holding one type node, inside its arena slab."""
-        lines_per_page = self.type_pages[0].num_lines
-        slot = type_id % (len(self.type_pages) * lines_per_page)
-        page, offset = divmod(slot, lines_per_page)
-        return self.type_pages[page].lines()[offset : offset + 1]
-
     def init_body(self) -> Generator:
         for region in self.type_pages:
             yield Touch(region.lines(), write=True)
@@ -97,21 +91,25 @@ class TypecheckerLike(MonitoredApp):
 
     def work_body(self) -> Generator:
         ast_lines = self.ast_region.lines()
+        # the line holding each type node, inside its arena slab
+        type_line = _slab_lines(
+            self.type_pages, np.arange(self.num_types, dtype=np.int64)
+        ).tolist()
+        parents = self.parents.tolist()
         # The initial burst: the whole type graph is brought in.
         for region in self.type_pages:
             yield Touch(region.lines())
         yield Compute(self.num_types * 4)
         # Then the creation-order AST walk, a subtype chase per node.
-        for node in range(self.ast_nodes):
+        for node, t in enumerate(self.ast_types.tolist()):
             ast_line = node * ast_lines.size // self.ast_nodes
             yield Touch(ast_lines[ast_line : ast_line + 1])
             # walk the real subtype chain to the root
-            t = int(self.ast_types[node])
             chain = []
             while t >= 0:
-                chain.append(self._type_lines(t))
-                t = int(self.parents[t])
-            yield Touch(np.concatenate(chain))
+                chain.append(type_line[t])
+                t = parents[t]
+            yield Touch(chain)
             yield Compute(self.compute_per_node)
 
     def state_regions(self) -> List[Region]:

@@ -76,6 +76,13 @@ class TestBackendProtocol:
         with pytest.raises(ValueError):
             Machine(small_config, backend="turbo")
 
+    def test_smp_machine_refuses_analytic(self, smp_config):
+        """The backend's bounds hold on one cpu; on an SMP its costs
+        steer the schedule they price."""
+        with pytest.raises(ValueError, match="one cpu only"):
+            Machine(smp_config, backend="analytic")
+        assert Machine(smp_config, backend="sim").directory is not None
+
 
 class TestAnalyticCache:
     def test_compulsory_misses_then_hits(self):

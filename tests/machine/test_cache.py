@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.cache import (
     DirectMappedCache,
@@ -59,12 +61,12 @@ class TestDirectMapped:
         cache.access(lines(1))
         assert cache.stats.miss_rate == 0.5
 
-    def test_serial_path_matches_vectorised(self):
-        """A batch with duplicate indices (serial path) must produce the
-        same counts as issuing the lines one by one."""
+    def test_colliding_batch_matches_line_at_a_time(self):
+        """A batch with duplicate indices must produce the same counts as
+        issuing the lines one by one."""
         batch = lines(1, 17, 1, 33, 2)  # indices 1,1,1,1,2 in a 16-line cache
-        serial = DirectMappedCache(16 * 64, 64)
-        result = serial.access(batch)
+        batched = DirectMappedCache(16 * 64, 64)
+        result = batched.access(batch)
         oracle = DirectMappedCache(16 * 64, 64)
         hits = misses = 0
         for v in batch:
@@ -132,6 +134,59 @@ class TestDirectMapped:
             DirectMappedCache(100, 64)
         with pytest.raises(ValueError):
             DirectMappedCache(0, 64)
+
+
+def _replay(resident, batch, num_lines):
+    """Line-at-a-time direct-mapped replay: (hits, residency after)."""
+    resident = dict(resident)
+    hits = 0
+    for pline in batch:
+        if resident.get(pline % num_lines) == pline:
+            hits += 1
+        else:
+            resident[pline % num_lines] = pline
+    return hits, resident
+
+
+@st.composite
+def _batches(draw):
+    """A cache size and batches over 2-4x its lines, so collisions are
+    common; sizes include empty and one-line batches."""
+    num_lines = draw(st.sampled_from([16, 12]))
+    span = num_lines * draw(st.integers(2, 4))
+    batch = st.lists(st.integers(0, span - 1), max_size=3 * num_lines)
+    short = st.lists(st.integers(0, span - 1), max_size=1)
+    return num_lines, draw(st.lists(st.one_of(short, batch), max_size=6))
+
+
+@given(_batches())
+@settings(max_examples=200, deadline=None)
+def test_direct_mapped_access_matches_line_at_a_time(case):
+    num_lines, batches = case
+    cache = DirectMappedCache(num_lines * 64, 64)
+    seen = {"in": [], "out": []}
+    cache.on_install(lambda arr: seen["in"].append(arr.tolist()))
+    cache.on_evict(lambda arr: seen["out"].append(arr.tolist()))
+    resident = {}
+    for batch in batches:
+        seen["in"].clear()
+        seen["out"].clear()
+        result = cache.access(np.asarray(batch, dtype=np.int64))
+        hits, after = _replay(resident, batch, num_lines)
+        assert (result.refs, result.hits, result.misses) == (
+            len(batch), hits, len(batch) - hits
+        )
+        before_lines, after_lines = set(resident.values()), set(after.values())
+        installed = [p for arr in seen["in"] for p in arr]
+        evicted = [p for arr in seen["out"] for p in arr]
+        assert installed == result.installed.tolist()
+        assert evicted == result.evicted.tolist()
+        assert len(set(installed)) == len(installed)
+        assert len(set(evicted)) == len(evicted)
+        assert set(installed) == after_lines - before_lines
+        assert set(evicted) == before_lines - after_lines
+        assert set(cache.resident_lines().tolist()) == after_lines
+        resident = after
 
 
 class TestSetAssociative:

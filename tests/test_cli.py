@@ -224,6 +224,26 @@ class TestBackendFlag:
         assert "fig7" in err
         assert stub_registry == []
 
+    def test_fig9_refuses_analytic(self, capsys):
+        """Figure 9 runs on eight cpus, where the analytic backend is
+        refused; the refusal comes before any simulation."""
+        assert main(["experiment", "fig9", "--backend", "analytic"]) == 2
+        captured = capsys.readouterr()
+        assert "fig9 runs on the sim backend only" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_smp_run_refuses_analytic(self, capsys, command):
+        argv = [command, "--workload", "tasks", "--cpus", "8",
+                "--backend", "analytic"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {command}: --backend analytic prices one cpu only, "
+            "not --cpus 8\n"
+        )
+
     def test_sim_only_experiment_runs_on_sim(self, stub_registry):
         assert main(["experiment", "table3", "--backend", "sim"]) == 0
         assert stub_registry[0][1]["backend"] == "sim"
@@ -235,8 +255,8 @@ class TestBackendFlag:
             name for name, entry in _experiment_registry().items()
             if not entry.analytic
         )
-        assert sim_only == ["fairness", "fig4", "inference", "table3",
-                            "table5"]
+        assert sim_only == ["fairness", "fig4", "fig9", "inference",
+                            "table3", "table5"]
 
     def test_registry_marks_only_offline_as_sharded(self):
         from repro.cli import _experiment_registry

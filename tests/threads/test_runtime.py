@@ -510,3 +510,34 @@ class TestCounterOverflowSurfacing:
         rt.run()
         assert rt.counter_overflow_suspects == 0
         assert rt.counter_diagnostics == []
+
+
+class TestReferenceCounting:
+    @pytest.mark.parametrize("policy", ["fcfs", "lff", "static"])
+    def test_finished_run_is_freed_without_cyclic_gc(self, smp_config, policy):
+        """Neither the handler table nor the scheduler holds the runtime
+        strongly, so dropping a finished run frees its machine at once
+        instead of at the next cyclic collection."""
+        import gc
+        import weakref
+
+        from repro.sched import SCHEDULERS
+
+        machine = Machine(smp_config, seed=0)
+        rt = Runtime(machine, SCHEDULERS[policy]())
+        region = rt.alloc_lines("r", 40)
+
+        def body():
+            yield Touch(region.lines(), write=True)
+            yield Compute(10)
+
+        for _ in range(3):
+            rt.at_create(body)
+        rt.run()
+        freed = weakref.ref(machine)
+        gc.disable()
+        try:
+            del machine, rt
+            assert freed() is None
+        finally:
+            gc.enable()

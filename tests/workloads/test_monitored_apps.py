@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from repro.machine.configs import ULTRA1
+from repro.machine.smp import Machine
+from repro.sched.fcfs import FCFSScheduler
 from repro.sim.driver import run_monitored
+from repro.threads.events import Compute, Touch
+from repro.threads.runtime import Runtime
 from repro.workloads import (
     ANOMALOUS_APPS,
     MONITORED_APPS,
     BarnesLike,
+    FmmLike,
     MergeMonitored,
     RaytraceLike,
     TypecheckerLike,
@@ -183,3 +188,105 @@ class TestTypechecker:
         assert all(
             machine_parents[i] < i for i in range(1, len(machine_parents))
         )
+
+
+# -- work bodies against the per-reference code they replace -----------------
+
+
+def _barnes_per_reference(app):
+    for _step in range(app.timesteps):
+        for i in range(app.num_bodies):
+            x, y = app.positions[i]
+            visited = app._walk(float(x), float(y))
+            node_lines = _slab_lines(
+                app.tree_slabs, np.asarray(visited, dtype=np.int64)
+            )
+            yield Touch(app.bodies_region.lines()[i : i + 1])
+            yield Touch(node_lines)
+            yield Touch(app.forces_region.lines()[i : i + 1], write=True)
+            yield Compute(len(visited) * 12)
+
+
+def _fmm_per_reference(app):
+    def cell_particles(cell):
+        ppc = app.particles_per_cell
+        return _slab_lines(
+            app.particle_slabs,
+            np.arange(cell * ppc, (cell + 1) * ppc, dtype=np.int64),
+        )
+
+    g = app.grid
+    for cy in range(g):
+        for cx in range(g):
+            cell = cy * g + cx
+            lines = [cell_particles(cell)]
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    nx, ny = cx + dx, cy + dy
+                    if (dx or dy) and 0 <= nx < g and 0 <= ny < g:
+                        lines.append(cell_particles(ny * g + nx))
+            yield Touch(np.concatenate(lines))
+            yield Touch(app.cells_region.lines()[cell : cell + 1], write=True)
+            coarse = (cy // 4) * (g // 4) + cx // 4
+            yield Touch(app.coarse_region.lines()[coarse : coarse + 1])
+            yield Compute(9 * app.particles_per_cell * 8)
+
+
+def _typechecker_per_reference(app):
+    def type_lines(type_id):
+        lines_per_page = app.type_pages[0].num_lines
+        slot = type_id % (len(app.type_pages) * lines_per_page)
+        page, offset = divmod(slot, lines_per_page)
+        return app.type_pages[page].lines()[offset : offset + 1]
+
+    ast_lines = app.ast_region.lines()
+    for region in app.type_pages:
+        yield Touch(region.lines())
+    yield Compute(app.num_types * 4)
+    for node in range(app.ast_nodes):
+        ast_line = node * ast_lines.size // app.ast_nodes
+        yield Touch(ast_lines[ast_line : ast_line + 1])
+        t = int(app.ast_types[node])
+        chain = []
+        while t >= 0:
+            chain.append(type_lines(t))
+            t = int(app.parents[t])
+        yield Touch(np.concatenate(chain))
+        yield Compute(app.compute_per_node)
+
+
+def _events(body):
+    """A work body's events as comparable tuples."""
+    rows = []
+    for event in body:
+        if isinstance(event, Touch):
+            rows.append(("touch", event.lines.tolist(), event.write))
+        else:
+            assert isinstance(event, Compute)
+            rows.append(("compute", event.instructions))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "app, reference",
+    [
+        (BarnesLike(num_bodies=120, arena_pages=2, timesteps=2),
+         _barnes_per_reference),
+        (BarnesLike(num_bodies=40, theta=0.2, arena_pages=0, timesteps=3),
+         _barnes_per_reference),
+        (FmmLike(grid=8, arena_pages=2), _fmm_per_reference),
+        (FmmLike(grid=5, particles_per_cell=3, arena_pages=0),
+         _fmm_per_reference),
+        (TypecheckerLike(num_types=150, ast_nodes=300, arena_span_pages=3),
+         _typechecker_per_reference),
+    ],
+    ids=["barnes", "barnes-deep", "fmm", "fmm-odd", "typechecker"],
+)
+def test_work_body_matches_per_reference_code(app, reference):
+    """The work bodies build their line tables once; every Touch (lines
+    and write flag) and every Compute count is what the per-reference
+    code yielded."""
+    machine = Machine(ULTRA1, seed=3)
+    app.setup(Runtime(machine, FCFSScheduler(model_scheduler_memory=False)))
+    expected = _events(reference(app))
+    assert expected and _events(app.work_body()) == expected
