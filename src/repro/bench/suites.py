@@ -13,11 +13,7 @@ Three standing suites:
 - ``engine`` -- the event-driven engine (``sim/events.py``) on the
   sparse ``server`` workload it exists for, with the stepped engine's
   run of the same fixture as the reference; the engine-to-engine
-  speedup itself is gated by ``benchmarks/bench_engine_event.py``;
-- ``analytic`` -- the analytic reuse-distance backend
-  (``machine/analytic.py``) against the replay cache on the 1-cpu
-  sweep-scale fixture; ``benchmarks/bench_analytic_sweep.py`` prints
-  the two side by side.
+  speedup itself is gated by ``benchmarks/bench_engine_event.py``.
 
 Benchmarks report *simulated* counters (refs, misses, events, context
 switches) so the JSON carries counter-derived rates -- e.g. simulated
@@ -350,106 +346,6 @@ def analyze_static() -> BenchFn:
         }
 
     return run
-
-
-def analytic_sweep_cells():
-    """The sweep-scale fixture cells for the analytic-backend benches.
-
-    Chosen so the per-*reference* work dominates the per-*event* work:
-    large touch batches (2-8 thousand lines), run on one cpu, the only
-    machine the analytic backend prices.  The merge/tsp cells are
-    deliberately small: they are event-bound.
-
-    Shared by the ``analytic`` suite arms below and by
-    ``benchmarks/bench_analytic_sweep.py`` -- one fixture, one truth.
-    """
-    from repro.workloads.mergesort import MergeWorkload
-    from repro.workloads.params import (
-        MergeParams,
-        PhotoParams,
-        TasksParams,
-        TspParams,
-    )
-    from repro.workloads.photo import PhotoWorkload
-    from repro.workloads.randomwalk import RandomWalkWorkload
-    from repro.workloads.tasks import TasksWorkload
-    from repro.workloads.tsp import TspWorkload
-
-    return [
-        (
-            "randomwalk",
-            lambda: RandomWalkWorkload(
-                total_touches=262_144,
-                batch=4096,
-                sleeper_footprints=(1024, 2048, 3072, 4096),
-                sleeper_shares=(0.0, 0.25, 0.5, 0.75),
-                periods=4,
-            ),
-        ),
-        (
-            "tasks",
-            lambda: TasksWorkload(
-                TasksParams(num_tasks=48, footprint_lines=8192, periods=8)
-            ),
-        ),
-        ("merge", lambda: MergeWorkload(MergeParams(num_elements=4000))),
-        (
-            "photo",
-            lambda: PhotoWorkload(PhotoParams(width=16_384, height=192)),
-        ),
-        ("tsp", lambda: TspWorkload(TspParams(num_cities=7))),
-    ]
-
-
-def _analytic_sweep_run(backend: str) -> BenchFn:
-    """All five sweep cells, one backend, LFF on one cpu."""
-    from repro.machine.configs import ULTRA1
-    from repro.sched import SCHEDULERS
-    from repro.sim.driver import run_performance
-
-    cells = analytic_sweep_cells()
-
-    def run() -> Mapping[str, float]:
-        misses = refs = switches = 0
-        for _name, factory in cells:
-            result = run_performance(
-                factory(), ULTRA1, SCHEDULERS["lff"](),
-                seed=0, backend=backend,
-            )
-            misses += result.l2_misses
-            refs += result.l2_refs
-            switches += result.context_switches
-        return {
-            "refs": float(refs),
-            "sim_misses": float(misses),
-            "context_switches": float(switches),
-        }
-
-    return run
-
-
-#: the sweep arms are seconds-per-call (the sim arm especially), so the
-#: repeat policy samples them like the stepped-engine reference bench
-_SWEEP_POLICY = RepeatPolicy(
-    warmup=0, min_repeats=2, max_repeats=3, time_budget_s=30.0
-)
-
-
-@register("analytic_sweep_analytic", suites=("analytic",),
-          policy=_SWEEP_POLICY)
-def analytic_sweep_analytic() -> BenchFn:
-    """Five-workload policy sweep priced by the analytic backend."""
-    return _analytic_sweep_run("analytic")
-
-
-@register("analytic_sweep_sim", suites=("analytic",), policy=_SWEEP_POLICY)
-def analytic_sweep_sim() -> BenchFn:
-    """The same sweep through the replay cache (the reference cost).
-
-    ``benchmarks/bench_analytic_sweep.py`` prints the two backends'
-    times side by side; this arm tracks the reference cost over time.
-    """
-    return _analytic_sweep_run("sim")
 
 
 @register("model_eval", suites=("smoke",), ops=64 * 1024)

@@ -24,11 +24,7 @@ The sweep commands (``faults run``, ``experiment offline``, ``mc``,
 (docs/PARALLEL.md).  ``--cache-dir`` (not on ``bench``) makes the
 sweep resumable via the content-addressed result cache without
 changing the output.  The other experiments are not sharded and
-refuse both flags.  ``--backend`` always names the cache backend
-(``sim`` or ``analytic``, docs/MODEL.md) of the commands that run
-simulations: ``run``, ``compare``, ``trace`` and ``experiment``.  The
-analytic backend prices one cpu only, so ``run``/``compare`` with
-``--cpus`` above 1 and ``experiment fig9`` refuse it.
+refuse both flags.
 
 Everything except ``bench`` (which measures host wall time) is
 deterministic given ``--seed``.
@@ -70,15 +66,13 @@ _PARAMS = {
 class _Experiment(NamedTuple):
     """One ``experiment`` entry.
 
-    ``run(jobs=, backend=, cache=)`` returns the report text.  Entries
-    with ``analytic=False`` run on the sim backend only, and entries with
+    ``run(jobs=, cache=)`` returns the report text.  Entries with
     ``sharded=False`` run inline without a result cache; the command
-    refuses ``--backend analytic``, ``--jobs N`` and ``--cache-dir`` for
-    them rather than ignore the flag.
+    refuses ``--jobs N`` and ``--cache-dir`` for them rather than ignore
+    the flag.
     """
 
     run: Callable[..., str]
-    analytic: bool = False
     sharded: bool = False
 
 
@@ -140,18 +134,13 @@ def _experiment_registry():
             ["panel", "curve", "rel.err %"], rows, title="Figure 4"
         )
 
-    def figure(run, fmt):
-        return _Experiment(
-            lambda backend, **_: fmt(run(backend=backend)), analytic=True
-        )
-
     _EXPERIMENTS.update(
         {
             "fig4": _Experiment(fig4_text),
-            "fig5": figure(run_fig5, format_fig5),
-            "fig6": figure(run_fig6, format_fig6),
-            "fig7": figure(run_fig7, format_fig7),
-            "fig8": figure(run_fig8, format_fig8),
+            "fig5": _Experiment(lambda **_: format_fig5(run_fig5())),
+            "fig6": _Experiment(lambda **_: format_fig6(run_fig6())),
+            "fig7": _Experiment(lambda **_: format_fig7(run_fig7())),
+            "fig8": _Experiment(lambda **_: format_fig8(run_fig8())),
             "fig9": _Experiment(lambda **_: format_fig9(run_fig9())),
             "table3": _Experiment(lambda **_: format_table3(run_table3())),
             "table5": _Experiment(lambda **_: format_table5(run_table5())),
@@ -164,15 +153,13 @@ def _experiment_registry():
                 )
             ),
             "offline": _Experiment(
-                lambda jobs, backend, cache: format_offline_comparison(
+                lambda jobs, cache: format_offline_comparison(
                     run_offline_comparison(
                         jobs=jobs,
                         progress=_shard_progress if jobs > 1 else None,
                         cache=cache,
-                        backend=backend,
                     )
                 ),
-                analytic=True,
                 sharded=True,
             ),
         }
@@ -199,29 +186,13 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _refuse_analytic_smp(args) -> bool:
-    """``--backend analytic`` prices one cpu only; say so and refuse."""
-    if args.backend == "analytic" and args.cpus > 1:
-        print(
-            f"repro {args.command}: --backend analytic prices one cpu "
-            f"only, not --cpus {args.cpus}",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
 def _cmd_run(args) -> int:
-    if _refuse_analytic_smp(args):
-        return 2
     if args.report:
         from repro.machine.smp import Machine
         from repro.sim.analysis import run_report
         from repro.threads.runtime import Runtime
 
-        machine = Machine(
-            _config(args.cpus), seed=args.seed, backend=args.backend
-        )
+        machine = Machine(_config(args.cpus), seed=args.seed)
         runtime = Runtime(
             machine, SCHEDULERS[args.policy](), engine=args.engine
         )
@@ -235,7 +206,6 @@ def _cmd_run(args) -> int:
         SCHEDULERS[args.policy](),
         seed=args.seed,
         engine=args.engine,
-        backend=args.backend,
     )
     print(
         format_table(
@@ -260,8 +230,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if _refuse_analytic_smp(args):
-        return 2
     rows = []
     base = None
     for policy in ("fcfs", "static", "lff", "crt"):
@@ -271,7 +239,6 @@ def _cmd_compare(args) -> int:
             SCHEDULERS[policy](),
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
         )
         if base is None:
             base = result
@@ -296,8 +263,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_trace(args) -> int:
     apps = {**MONITORED_APPS, **ANOMALOUS_APPS}
-    result = run_monitored(apps[args.app](), seed=args.seed,
-                           backend=args.backend)
+    result = run_monitored(apps[args.app](), seed=args.seed)
     print(
         format_table(
             ["app", "lang", "misses", "observed", "predicted", "pred/obs",
@@ -351,21 +317,8 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.machine.backend import DEFAULT_BACKEND
-
     registry = _experiment_registry()
     experiment = registry[args.name]
-    if args.backend != DEFAULT_BACKEND and not experiment.analytic:
-        print(
-            "repro experiment: %s runs on the %s backend only; "
-            "--backend %s is supported by %s"
-            % (
-                args.name, DEFAULT_BACKEND, args.backend,
-                ", ".join(n for n, e in registry.items() if e.analytic),
-            ),
-            file=sys.stderr,
-        )
-        return 2
     if (args.jobs != 1 or args.cache_dir) and not experiment.sharded:
         print(
             "repro experiment: %s is not a sharded sweep; --jobs and "
@@ -377,11 +330,7 @@ def _cmd_experiment(args) -> int:
             file=sys.stderr,
         )
         return 2
-    print(
-        experiment.run(
-            jobs=args.jobs, backend=args.backend, cache=_result_cache(args)
-        )
-    )
+    print(experiment.run(jobs=args.jobs, cache=_result_cache(args)))
     return 0
 
 
@@ -844,20 +793,6 @@ _positive_int = _int_at_least(1)
 _seed = _int_at_least(0)
 
 
-def _add_backend_flag(p) -> None:
-    """The ``--backend`` flag of the simulation-running commands."""
-    from repro.machine.backend import BACKEND_NAMES, DEFAULT_BACKEND
-
-    p.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
-        help="cache backend: 'sim' replays every reference through the "
-        "simulated E-cache, 'analytic' prices misses with the "
-        "closed-form reuse-distance model on one cpu only, approximate "
-        "within the bounds the analytic-oracle CI job pins "
-        "(docs/MODEL.md 'The analytic backend')",
-    )
-
-
 def _add_engine_flag(p) -> None:
     """The ``--engine`` flag every simulation-running command shares."""
     from repro.threads.runtime import Runtime
@@ -898,7 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the full post-run analysis instead of one row",
     )
     _add_engine_flag(run_p)
-    _add_backend_flag(run_p)
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="FCFS vs LFF vs CRT")
@@ -908,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--paper-scale", action="store_true")
     cmp_p.add_argument("--seed", type=_seed, default=0)
     _add_engine_flag(cmp_p)
-    _add_backend_flag(cmp_p)
     cmp_p.set_defaults(func=_cmd_compare)
 
     trace_p = sub.add_parser("trace", help="footprint trace of one app")
@@ -918,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     trace_p.add_argument("--seed", type=_seed, default=0)
-    _add_backend_flag(trace_p)
     trace_p.set_defaults(func=_cmd_trace)
 
     model_p = sub.add_parser("model", help="evaluate the closed-form model")
@@ -944,7 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs 1",
     )
     _add_cache_flag(exp_p)
-    _add_backend_flag(exp_p)
     exp_p.set_defaults(func=_cmd_experiment)
 
     faults_p = sub.add_parser(

@@ -22,18 +22,14 @@ from repro.workloads import MONITORED_APPS
 
 
 def run_fig5(
-    apps: List[str] = None, seed: int = 0, backend: str = "sim"
+    apps: List[str] = None, seed: int = 0
 ) -> Dict[str, MonitoredResult]:
-    """Trace every (requested) Figure 5 application.
-
-    ``backend="analytic"`` swaps the simulated cache for the closed-form
-    reuse-distance backend (approximate; see docs/MODEL.md).
-    """
+    """Trace every (requested) Figure 5 application."""
     names = apps or list(MONITORED_APPS)
     results = {}
     for name in names:
         app = MONITORED_APPS[name]()
-        results[name] = run_monitored(app, seed=seed, backend=backend)
+        results[name] = run_monitored(app, seed=seed)
     return results
 
 

@@ -20,13 +20,12 @@ def run_fig6(
     apps: List[str] = None,
     window: int = 40,
     seed: int = 0,
-    backend: str = "sim",
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """MPI-per-1000-instructions series for each app."""
     names = apps or list(MONITORED_APPS)
     series = {}
     for name in names:
-        res = run_monitored(MONITORED_APPS[name](), seed=seed, backend=backend)
+        res = run_monitored(MONITORED_APPS[name](), seed=seed)
         series[name] = mpi_series(res.instructions, res.misses, window=window)
     return series
 

@@ -23,10 +23,10 @@ from repro.sim.report import format_table
 from repro.workloads import ANOMALOUS_APPS
 
 
-def run_fig7(seed: int = 0, backend: str = "sim") -> Dict[str, MonitoredResult]:
+def run_fig7(seed: int = 0) -> Dict[str, MonitoredResult]:
     """Trace the two anomalous applications."""
     return {
-        name: run_monitored(cls(), seed=seed, backend=backend)
+        name: run_monitored(cls(), seed=seed)
         for name, cls in ANOMALOUS_APPS.items()
     }
 

@@ -47,15 +47,8 @@ def run_policies(
     workloads: Optional[Dict[str, Callable]] = None,
     policies: List[str] = ("fcfs", "lff", "crt"),
     seed: int = 0,
-    backend: str = "sim",
 ) -> Dict[str, Dict[str, PerfResult]]:
-    """results[workload][policy] for the given machine.
-
-    ``backend="analytic"`` prices misses with the closed-form
-    reuse-distance backend instead of simulating the caches, on one cpu
-    only, approximate within the bounds the ``analytic-oracle`` CI job
-    pins (docs/MODEL.md).
-    """
+    """results[workload][policy] for the given machine."""
     workloads = workloads or default_workloads()
     results: Dict[str, Dict[str, PerfResult]] = {}
     for wl_name, factory in workloads.items():
@@ -63,14 +56,14 @@ def run_policies(
         for policy in policies:
             scheduler = SCHEDULERS[policy]()
             results[wl_name][policy] = run_performance(
-                factory(), config, scheduler, seed=seed, backend=backend
+                factory(), config, scheduler, seed=seed
             )
     return results
 
 
-def run_fig8(seed: int = 0, backend: str = "sim") -> Dict[str, Dict[str, PerfResult]]:
+def run_fig8(seed: int = 0) -> Dict[str, Dict[str, PerfResult]]:
     """The uniprocessor (Ultra-1) sweep."""
-    return run_policies(ULTRA1, seed=seed, backend=backend)
+    return run_policies(ULTRA1, seed=seed)
 
 
 def format_results(

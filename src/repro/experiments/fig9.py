@@ -18,8 +18,7 @@ from repro.sim.metrics import PerfResult
 
 
 def run_fig9(seed: int = 0) -> Dict[str, Dict[str, PerfResult]]:
-    """The 8-processor (E5000) sweep, on the sim backend: the analytic
-    backend prices one cpu only."""
+    """The 8-processor (E5000) sweep."""
     return run_policies(E5000_8CPU, seed=seed)
 
 

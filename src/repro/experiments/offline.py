@@ -28,7 +28,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.machine.configs import ULTRA1
-from repro.machine.smp import Machine
 from repro.parallel import (
     ProgressFn,
     ResultCache,
@@ -36,20 +35,15 @@ from repro.parallel import (
     merged_values,
     run_shards,
 )
-from repro.sched.fcfs import FCFSScheduler
-from repro.sim.driver import _AnalyticFootprintProbe, _WorkThreadSampler
+from repro.sim.driver import monitor_work_thread
 from repro.sim.report import format_table
 from repro.sim.trace import ReferenceTraceRecorder, footprint_curve_from_trace
-from repro.sim.tracer import FootprintTracer
-from repro.threads.runtime import Runtime
 from repro.workloads import MONITORED_APPS
 
 
-def _offline_shard(
-    app: str, seed: int, backend: str = "sim"
-) -> Dict[str, float]:
+def _offline_shard(app: str, seed: int) -> Dict[str, float]:
     """Worker entry point: the sweep for one monitored app."""
-    return _run_one_app(app, seed, backend=backend)
+    return _run_one_app(app, seed)
 
 
 def run_offline_comparison(
@@ -58,7 +52,6 @@ def run_offline_comparison(
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     cache: Optional[ResultCache] = None,
-    backend: str = "sim",
 ) -> Dict[str, Dict[str, float]]:
     """Per app: observed-vs-model MAE, observed-vs-replay MAE, and costs.
 
@@ -67,18 +60,13 @@ def run_offline_comparison(
     merge reassembles the dict in ``apps`` order, bit-identical to the
     serial sweep.  ``cache`` resumes an interrupted sweep from the
     on-disk result cache -- it cannot change the merged report.
-
-    ``backend`` selects the cache backend (sim/analytic, see
-    docs/MODEL.md "The analytic backend") and is a shard parameter, so
-    it is part of each shard's cache fingerprint: cached sim results
-    never answer an analytic sweep.
     """
     shards = [
         Shard(
             index=i,
-            key=f"offline/{backend}/{name}",
+            key=f"offline/{name}",
             fn="repro.experiments.offline:_offline_shard",
-            params={"app": name, "seed": seed, "backend": backend},
+            params={"app": name, "seed": seed},
         )
         for i, name in enumerate(apps)
     ]
@@ -89,35 +77,14 @@ def run_offline_comparison(
     }
 
 
-def _run_one_app(
-    name: str, seed: int, backend: str = "sim"
-) -> Dict[str, float]:
+def _run_one_app(name: str, seed: int) -> Dict[str, float]:
     """The three-way comparison for one app (see the module docstring)."""
-    app = MONITORED_APPS[name]()
     config = ULTRA1
-    machine = Machine(config, seed=seed, backend=backend)
-    runtime = Runtime(machine, FCFSScheduler(model_scheduler_memory=False))
-    if backend == "analytic":
-        tracer = _AnalyticFootprintProbe(machine)
-    else:
-        tracer = FootprintTracer(machine)
-    sampler = _WorkThreadSampler(machine, tracer)
     recorder = ReferenceTraceRecorder(max_total_refs=20_000_000,
                                       strict=False)
-    runtime.add_observer(recorder)
-    runtime.add_observer(tracer)
-    runtime.add_observer(sampler)
-
-    app.setup(runtime)
-    init = app.init_body()
-    if init is not None:
-        runtime.at_create(init, name="init")
-        runtime.run()
-    machine.flush_all()
-    work_tid = runtime.at_create(app.work_body(), name="work")
-    runtime.declare_state(work_tid, app.state_regions())
-    sampler.arm(work_tid)
-    runtime.run()
+    sampler = monitor_work_thread(
+        MONITORED_APPS[name](), config, seed, observers=(recorder,)
+    )
 
     misses = np.asarray(sampler.misses, dtype=np.int64)
     observed = np.asarray(sampler.observed, dtype=float)
@@ -125,7 +92,7 @@ def _run_one_app(
     k = (n_cache - 1) / n_cache
     online = n_cache * (1.0 - k ** misses.astype(float))
 
-    trace = recorder.trace(work_tid)
+    trace = recorder.trace(sampler.watch_tid)
     replay_x, replay_y = footprint_curve_from_trace(trace, n_cache)
     # align the replay curve to the sampler's miss positions
     if replay_x.size:

@@ -22,6 +22,8 @@ per-event checks are O(cpus); the full table/heap sweep runs every
 
 from __future__ import annotations
 
+import weakref
+
 from repro.threads.errors import InvariantViolation
 from repro.threads.runtime import Observer
 from repro.threads.thread import ActiveThread, ThreadState
@@ -31,7 +33,10 @@ class InvariantChecker(Observer):
     """Validates runtime/scheduler invariants as a measurement observer."""
 
     def __init__(self, runtime, deep_every: int = 32) -> None:
-        self.runtime = runtime
+        #: a weak proxy: the runtime holds its observers, so a strong
+        #: reference back would keep a finished run alive until a
+        #: cyclic collection
+        self.runtime = weakref.proxy(runtime)
         #: period (in events) of the full table/mutex/heap sweep
         self.deep_every = max(1, deep_every)
         self._mutexes: dict = {}  # id -> mutex, discovered from events

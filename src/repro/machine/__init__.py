@@ -9,13 +9,10 @@ simulator (paper section 3.1).  It provides:
 - :mod:`repro.machine.vm` -- virtual-to-physical page placement, including
   the Kessler-Hill hierarchical policy the paper simulates.
 - :mod:`repro.machine.cache` -- direct-mapped and set-associative caches
-  that report installed/evicted lines so footprints can be observed.
-- :mod:`repro.machine.analytic` -- the closed-form reuse-distance cache
-  (``--backend analytic``).
-- :mod:`repro.machine.backend` -- the one-E-cache-per-cpu backend protocol
-  and the ``sim``/``analytic`` registry.  The paper's model and counters
-  concern only the E-cache, so Table 1's L1 sizes are recorded
-  configuration, not simulated.
+  that report installed/evicted lines so footprints can be observed; each
+  cpu has one, its E-cache.  The paper's model and counters concern only
+  the E-cache, so Table 1's L1 sizes are recorded configuration, not
+  simulated.
 - :mod:`repro.machine.counters` -- UltraSPARC-style performance
   instrumentation counters (PIC/PCR).
 - :mod:`repro.machine.processor` / :mod:`repro.machine.smp` -- processors

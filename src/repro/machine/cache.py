@@ -16,7 +16,8 @@ Two organisations are provided:
   case"); used by the associativity ablation bench.
 
 Caches operate on *physical line numbers* (already translated by
-:class:`repro.machine.vm.VirtualMemory`).
+:class:`repro.machine.vm.VirtualMemory`).  :func:`e_cache` builds the
+one a :class:`~repro.machine.configs.MachineConfig` describes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
+
+from repro.machine.configs import MachineConfig
 
 #: Listener signature: called with arrays of physical line numbers.
 LineListener = Callable[[np.ndarray], None]
@@ -363,3 +366,13 @@ class SetAssociativeCache(_BaseCache):
             self._stamp[s] = [0] * ways
         self._notify(_EMPTY, victims)
         return int(victims.size)
+
+
+def e_cache(config: MachineConfig) -> _BaseCache:
+    """One cpu's E-cache for ``config``: LRU set-associative when
+    ``l2_ways > 1``, direct-mapped (the model's domain) otherwise."""
+    if config.l2_ways > 1:
+        return SetAssociativeCache(
+            config.l2_bytes, config.line_bytes, ways=config.l2_ways
+        )
+    return DirectMappedCache(config.l2_bytes, config.line_bytes)

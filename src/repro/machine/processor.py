@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.machine.backend import DEFAULT_BACKEND, CacheBackend, resolve_backend
-from repro.machine.cache import AccessResult
+from repro.machine.cache import AccessResult, _BaseCache, e_cache
 from repro.machine.configs import MachineConfig
 from repro.machine.counters import CounterEvent, PerformanceCounters
 
@@ -31,20 +30,12 @@ RemoteProbe = Callable[[np.ndarray], int]
 class Processor:
     """One cpu of the simulated SMP."""
 
-    def __init__(
-        self,
-        cpu_id: int,
-        config: MachineConfig,
-        l2: Optional[CacheBackend] = None,
-    ) -> None:
+    def __init__(self, cpu_id: int, config: MachineConfig) -> None:
         self.cpu_id = cpu_id
         self.config = config
-        #: this cpu's E-cache, the backend every touch is priced by (the
-        #: replay cache by default; the Machine injects the configured
-        #: one) and the object the tracer watches
-        self.l2: CacheBackend = (
-            l2 if l2 is not None else resolve_backend(DEFAULT_BACKEND)(config)
-        )
+        #: this cpu's E-cache: every touch is priced by it, and the
+        #: tracer and the coherence directory watch it
+        self.l2: _BaseCache = e_cache(config)
         self.counters = PerformanceCounters()
         self.cycles = 0
         self.instructions = 0

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.machine.address import AddressSpace
-from repro.machine.backend import DEFAULT_BACKEND, resolve_backend
 from repro.machine.cache import AccessResult
 from repro.machine.configs import MachineConfig
 from repro.machine.processor import Processor
@@ -105,23 +104,7 @@ class Machine:
         config: MachineConfig,
         placement: Optional[PlacementPolicy] = None,
         seed: int = 0,
-        backend: str = DEFAULT_BACKEND,
     ) -> None:
-        cache_factory = resolve_backend(backend)
-        #: cache backend name: ``"sim"`` replays every reference through
-        #: the per-cpu E-cache behind the VM and coherence directory;
-        #: ``"analytic"`` prices batches with the reuse-distance model on
-        #: virtual lines, skipping translation, TLBs and coherence
-        #: entirely (repro.machine.analytic)
-        self.backend = backend
-        self._analytic = backend == "analytic"
-        if self._analytic and config.num_cpus > 1:
-            # its bounds hold on one cpu; on an SMP its smooth per-batch
-            # costs steer the schedule they price (docs/MODEL.md)
-            raise ValueError(
-                "the analytic backend prices one cpu only, not "
-                f"{config.num_cpus}"
-            )
         self.config = config
         rng = np.random.default_rng(seed)
         self.address_space = AddressSpace(
@@ -152,7 +135,7 @@ class Machine:
         self.cpus: List[Processor] = []
         directory = self.directory
         for cpu_id in range(config.num_cpus):
-            cpu = Processor(cpu_id, config, cache_factory(config))
+            cpu = Processor(cpu_id, config)
             if directory is not None:
                 # the closures hold the directory, not the machine, so a
                 # machine is freed by reference counting
@@ -177,10 +160,6 @@ class Machine:
         """Touch virtual lines on a cpu; performs coherence on writes."""
         cpu = self.cpus[cpu_id]
         vlines = np.asarray(vlines, dtype=np.int64)
-        if self._analytic:
-            # the analytic backend prices batches in virtual-line space:
-            # no TLB and no translation
-            return cpu.touch_data(vlines)
         tlb = self.tlbs[cpu_id]
         if tlb is not None and vlines.size:
             # the batch's pages, ascending, each once

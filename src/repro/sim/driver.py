@@ -24,7 +24,7 @@ history instead of spinning forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,23 +47,14 @@ def run_performance(
     seed: int = 0,
     max_events: Optional[int] = None,
     engine: str = Runtime.DEFAULT_ENGINE,
-    backend: str = "sim",
 ) -> PerfResult:
     """Run a workload to completion; returns the aggregate counters.
 
     ``engine`` selects the scheduling loop (``"stepped"`` or ``"event"``;
     see docs/MODEL.md "The event engine") -- the counters are
     bit-identical either way, only wall-clock time differs.
-
-    ``backend`` selects how touch batches are priced: ``"sim"`` replays
-    every reference through the per-cpu E-cache, ``"analytic"`` predicts
-    miss counts from reuse distances via the closed-form model
-    (docs/MODEL.md "The analytic backend") -- per-thread ground truth
-    (refs, instructions) is identical, miss counts are approximate
-    within the bounds the ``analytic-oracle`` CI job pins.  The analytic
-    backend prices one cpu only.
     """
-    machine = Machine(config, seed=seed, backend=backend)
+    machine = Machine(config, seed=seed)
     runtime = Runtime(machine, scheduler, engine=engine)
     workload.build(runtime)
     runtime.run(max_events=max_events)
@@ -91,9 +82,9 @@ class _WorkThreadSampler(Observer):
     """Records (misses, observed footprint, instructions) after every
     touch of the watched thread."""
 
-    def __init__(self, machine: Machine, tracer, cpu: int = 0):
-        # ``tracer`` is anything with ``observed(cpu, tid) -> int``:
-        # FootprintTracer (sim) or _AnalyticFootprintProbe (analytic).
+    def __init__(
+        self, machine: Machine, tracer: FootprintTracer, cpu: int = 0
+    ) -> None:
         self.machine = machine
         self.tracer = tracer
         self.cpu = cpu
@@ -120,67 +111,27 @@ class _WorkThreadSampler(Observer):
         self.instructions.append(cpu_obj.instructions - self.instr_base)
 
 
-class _AnalyticFootprintProbe(Observer):
-    """The analytic backend's stand-in for the footprint tracer.
-
-    The analytic cache has no notion of which lines are resident, so
-    there are no install/evict events for :class:`FootprintTracer` to
-    consume.  What it *does* know is each line's survival probability,
-    so the "observed" footprint of a thread becomes the expected
-    resident count of its declared state lines -- the same quantity the
-    closed-form model predicts, computed from per-line reuse distances
-    instead of the aggregate miss count.
-    """
-
-    def __init__(self, machine: Machine, cpu: int = 0) -> None:
-        self._machine = machine
-        self._cpu = cpu
-        self._state: Dict[int, np.ndarray] = {}
-
-    def on_state_declared(self, tid: int, vlines: np.ndarray) -> None:
-        existing = self._state.get(tid)
-        if existing is None:
-            self._state[tid] = vlines
-        else:
-            self._state[tid] = np.unique(
-                np.concatenate([existing, vlines])
-            )
-
-    def observed(self, cpu: int, tid: int) -> int:
-        """Duck-typed :meth:`FootprintTracer.observed` replacement."""
-        vlines = self._state.get(tid)
-        if vlines is None:
-            return 0
-        cache = self._machine.cpus[cpu].l2
-        return int(round(cache.expected_resident(vlines)))
-
-
-def run_monitored(
+def monitor_work_thread(
     app: MonitoredApp,
-    config: MachineConfig = ULTRA1,
-    seed: int = 0,
-    backend: str = "sim",
-) -> MonitoredResult:
-    """Trace one work thread's footprint against the model's prediction.
+    config: MachineConfig,
+    seed: int,
+    observers: Sequence[Observer] = (),
+) -> _WorkThreadSampler:
+    """Section 3.3's steps, for :func:`run_monitored` and the off-line
+    comparison: run the app's initialisation, flush every E-cache, then
+    run one work thread with its state declared and its samples armed.
 
-    With ``backend="analytic"`` the observed curve comes from the
-    analytic cache's expected-resident estimate (there are no per-line
-    install/evict events to trace), so the comparison becomes
-    reuse-distance model vs aggregate closed form rather than
-    ground-truth simulation vs model -- useful for sweep-scale sanity,
-    not for accuracy claims.
+    ``observers`` are attached ahead of the footprint tracer and the
+    sampler.  Returns the sampler; its ``watch_tid`` is the work thread.
     """
-    machine = Machine(config, seed=seed, backend=backend)
+    machine = Machine(config, seed=seed)
     # The accuracy runs are about the model, not the policy: a bare FCFS
     # with no simulated scheduler memory keeps the cache unpolluted.
     runtime = Runtime(machine, FCFSScheduler(model_scheduler_memory=False))
-    if backend == "analytic":
-        tracer = _AnalyticFootprintProbe(machine)
-    else:
-        tracer = FootprintTracer(machine)
+    tracer = FootprintTracer(machine)
     sampler = _WorkThreadSampler(machine, tracer)
-    runtime.add_observer(tracer)
-    runtime.add_observer(sampler)
+    for observer in (*observers, tracer, sampler):
+        runtime.add_observer(observer)
 
     app.setup(runtime)
     init = app.init_body()
@@ -195,7 +146,16 @@ def run_monitored(
     runtime.declare_state(work_tid, app.state_regions())
     sampler.arm(work_tid)
     runtime.run()
+    return sampler
 
+
+def run_monitored(
+    app: MonitoredApp,
+    config: MachineConfig = ULTRA1,
+    seed: int = 0,
+) -> MonitoredResult:
+    """Trace one work thread's footprint against the model's prediction."""
+    sampler = monitor_work_thread(app, config, seed)
     misses = np.asarray(sampler.misses, dtype=np.int64)
     observed = np.asarray(sampler.observed, dtype=np.int64)
     instructions = np.asarray(sampler.instructions, dtype=np.int64)

@@ -205,7 +205,9 @@ class Runtime:
         self._current: List[Optional[ActiveThread]] = [None] * machine.config.num_cpus
         self._views = [MissCounterView(cpu.counters) for cpu in machine.cpus]
         if injector is not None:
-            injector.attach(self)
+            # a weak proxy, as the scheduler gets: the runtime holds the
+            # injector, so a strong back-reference would be a cycle
+            injector.attach(weakref.proxy(self))
             self._views = [
                 injector.wrap_view(cpu_id, view)
                 for cpu_id, view in enumerate(self._views)

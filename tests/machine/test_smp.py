@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.cache import SetAssociativeCache
+from repro.machine.cache import DirectMappedCache, SetAssociativeCache
 from repro.machine.configs import SMALL, ULTRA1
 from repro.machine.smp import LineDirectory, Machine
 
@@ -125,6 +125,12 @@ class TestMachineCoherence:
         pline = int(smp.vm.translate_lines(lines(5))[0])
         assert smp.cpus[0].l2.contains(pline)
         assert smp.cpus[1].l2.contains(pline)
+
+    def test_direct_mapped_config_reaches_every_cpu(self):
+        machine = Machine(replace(SMALL, num_cpus=2), seed=7)
+        for cpu in machine.cpus:
+            assert isinstance(cpu.l2, DirectMappedCache)
+            assert cpu.l2.num_lines == SMALL.l2_lines
 
     def test_set_associative_config_reaches_every_cpu(self):
         machine = Machine(replace(SMALL, num_cpus=2, l2_ways=4), seed=7)

@@ -149,8 +149,9 @@ class TestCommands:
         assert "honoured the hint contract" in out
 
 
-class TestBackendFlag:
-    """``--backend`` names the cache backend on every command."""
+class TestSweepFlags:
+    """``--jobs`` and ``--cache-dir`` reach only the sharded sweeps, and
+    retired flags are usage errors."""
 
     @pytest.fixture
     def stub_registry(self, monkeypatch):
@@ -165,27 +166,12 @@ class TestBackendFlag:
             return run
 
         registry = {
-            "fig7": cli._Experiment(record("fig7"), analytic=True),
+            "fig7": cli._Experiment(record("fig7")),
             "table3": cli._Experiment(record("table3")),
-            "offline": cli._Experiment(
-                record("offline"), analytic=True, sharded=True
-            ),
+            "offline": cli._Experiment(record("offline"), sharded=True),
         }
         monkeypatch.setattr(cli, "_experiment_registry", lambda: registry)
         return calls
-
-    def test_experiment_backend_defaults_to_sim(self):
-        args = build_parser().parse_args(["experiment", "fig7"])
-        assert args.backend == "sim"
-
-    def test_experiment_passes_the_backend_through(
-        self, stub_registry, capsys
-    ):
-        assert main(["experiment", "fig7", "--backend", "analytic"]) == 0
-        assert capsys.readouterr().out == "fig7 report\n"
-        assert stub_registry == [
-            ("fig7", {"jobs": 1, "backend": "analytic", "cache": None})
-        ]
 
     def test_experiment_passes_the_cache_dir_through(
         self, stub_registry, tmp_path
@@ -215,49 +201,6 @@ class TestBackendFlag:
         assert stub_registry == []
         assert not cache_dir.exists()
 
-    def test_sim_only_experiment_refuses_analytic(
-        self, stub_registry, capsys
-    ):
-        assert main(["experiment", "table3", "--backend", "analytic"]) == 2
-        err = capsys.readouterr().err
-        assert "table3 runs on the sim backend only" in err
-        assert "fig7" in err
-        assert stub_registry == []
-
-    def test_fig9_refuses_analytic(self, capsys):
-        """Figure 9 runs on eight cpus, where the analytic backend is
-        refused; the refusal comes before any simulation."""
-        assert main(["experiment", "fig9", "--backend", "analytic"]) == 2
-        captured = capsys.readouterr()
-        assert "fig9 runs on the sim backend only" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_smp_run_refuses_analytic(self, capsys, command):
-        argv = [command, "--workload", "tasks", "--cpus", "8",
-                "--backend", "analytic"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"repro {command}: --backend analytic prices one cpu only, "
-            "not --cpus 8\n"
-        )
-
-    def test_sim_only_experiment_runs_on_sim(self, stub_registry):
-        assert main(["experiment", "table3", "--backend", "sim"]) == 0
-        assert stub_registry[0][1]["backend"] == "sim"
-
-    def test_registry_marks_the_sim_only_experiments(self):
-        from repro.cli import _experiment_registry
-
-        sim_only = sorted(
-            name for name, entry in _experiment_registry().items()
-            if not entry.analytic
-        )
-        assert sim_only == ["fairness", "fig4", "fig9", "inference",
-                            "table3", "table5"]
-
     def test_registry_marks_only_offline_as_sharded(self):
         from repro.cli import _experiment_registry
 
@@ -273,8 +216,12 @@ class TestBackendFlag:
         ["mc", "--backend", "local"],
         ["bench", "run", "--backend", "local"],
         ["dispatch", "worker", "--connect", "localhost:1"],
+        ["run", "--workload", "tasks", "--backend", "sim"],
+        ["compare", "--workload", "tasks", "--backend", "analytic"],
+        ["trace", "--app", "merge", "--backend", "sim"],
+        ["experiment", "fig8", "--backend", "analytic"],
     ])
-    def test_retired_dispatch_flags_are_argparse_errors(self, argv):
+    def test_retired_flags_are_argparse_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2

@@ -513,18 +513,35 @@ class TestCounterOverflowSurfacing:
 
 
 class TestReferenceCounting:
-    @pytest.mark.parametrize("policy", ["fcfs", "lff", "static"])
-    def test_finished_run_is_freed_without_cyclic_gc(self, smp_config, policy):
-        """Neither the handler table nor the scheduler holds the runtime
-        strongly, so dropping a finished run frees its machine at once
-        instead of at the next cyclic collection."""
+    @pytest.mark.parametrize("policy, injector, checker", [
+        pytest.param("fcfs", False, False, id="fcfs"),
+        pytest.param("lff", False, False, id="lff"),
+        pytest.param("static", False, False, id="static"),
+        pytest.param("lff", True, False, id="lff-injector"),
+        pytest.param("lff", False, True, id="lff-checker"),
+        pytest.param("lff", True, True, id="lff-injector-checker"),
+    ])
+    def test_finished_run_is_freed_without_cyclic_gc(
+        self, smp_config, policy, injector, checker
+    ):
+        """Neither the handler table, the scheduler, a fault injector
+        nor an invariant checker holds the runtime strongly, so dropping
+        a finished run frees its machine at once instead of at the next
+        cyclic collection."""
         import gc
         import weakref
 
+        from repro.faults import FaultInjector, FaultPlan, InvariantChecker
         from repro.sched import SCHEDULERS
 
         machine = Machine(smp_config, seed=0)
-        rt = Runtime(machine, SCHEDULERS[policy]())
+        rt = Runtime(
+            machine,
+            SCHEDULERS[policy](),
+            injector=FaultInjector(FaultPlan(seed=1)) if injector else None,
+        )
+        if checker:
+            rt.add_observer(InvariantChecker(rt))
         region = rt.alloc_lines("r", 40)
 
         def body():
