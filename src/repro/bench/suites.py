@@ -161,6 +161,67 @@ def vm_translate() -> BenchFn:
     return run
 
 
+#: one-line batches and heap-path batches per timed call of
+#: ``machine_touch_small``: each of the E5000's 8 cpus in turn writes
+#: every one of them
+_SMALL_LINES = 64
+_SMALL_PATHS = 16
+_E5000_CPUS = 8
+
+
+@register(
+    "machine_touch_small",
+    suites=("smoke", "hotpaths"),
+    ops=_E5000_CPUS * (_SMALL_LINES + _SMALL_PATHS),
+)
+def machine_touch_small() -> BenchFn:
+    """Scheduler-sized write touches on the 8-cpu E5000.
+
+    One-line batches (a queue slot, a priority entry) and heap-path
+    batches (a root-to-leaf path of a heap array, a few lines) as the
+    locality scheduler writes its own tables.  Each cpu in turn writes
+    every batch, so its first write of each line misses, finds the
+    previous writer holding the line, and invalidates that copy: remote
+    pricing and write invalidation through the coherence directory.
+    """
+    from repro.machine.configs import E5000_8CPU
+    from repro.machine.smp import Machine
+
+    machine = Machine(E5000_8CPU, seed=0)
+    assert len(machine.cpus) == _E5000_CPUS
+    batches = [
+        np.asarray([line], dtype=np.int64) for line in range(_SMALL_LINES)
+    ]
+    for length in range(1, 8 * _SMALL_PATHS, 8):
+        # the lines of the path from entry ``length`` up to the root
+        path = sorted({_SMALL_LINES + (length >> k) // 2
+                       for k in range(length.bit_length())})
+        batches.append(np.asarray(path, dtype=np.int64))
+    cpus = machine.cpus
+
+    def sweep() -> None:
+        for cpu in range(len(cpus)):
+            for batch in batches:
+                machine.touch(cpu, batch, write=True)
+
+    sweep()  # every line now held by the last cpu: each timed sweep is alike
+
+    def run() -> Mapping[str, float]:
+        refs0 = sum(cpu.l2.stats.refs for cpu in cpus)
+        miss0 = machine.total_l2_misses()
+        inval0 = sum(cpu.l2.stats.invalidations for cpu in cpus)
+        sweep()
+        return {
+            "refs": float(sum(cpu.l2.stats.refs for cpu in cpus) - refs0),
+            "sim_misses": float(machine.total_l2_misses() - miss0),
+            "invalidations": float(
+                sum(cpu.l2.stats.invalidations for cpu in cpus) - inval0
+            ),
+        }
+
+    return run
+
+
 @register("heap_churn", suites=("smoke", "hotpaths"), ops=2 * 256)
 def heap_churn() -> BenchFn:
     """Priority-heap push/pop churn with lazy-deletion validation.

@@ -144,7 +144,7 @@ class SharingInference(Observer):
         )
         for page in chosen.tolist():
             lines = np.arange(page * lpp, (page + 1) * lpp, dtype=np.int64)
-            self.runtime.machine.cpus[cpu].l2.invalidate(lines)
+            self.runtime.machine.cpus[cpu].invalidate(lines)
             # the unmap itself costs a TLB shootdown's worth of work
             self.runtime.machine.compute(cpu, 50)
             self.probes += 1

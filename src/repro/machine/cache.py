@@ -22,7 +22,6 @@ one a :class:`~repro.machine.configs.MachineConfig` describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
@@ -58,19 +57,36 @@ def _net_effect(installed, evicted):
     )
 
 
-@dataclass(frozen=True)
 class AccessResult:
     """Outcome of one access batch.
 
     ``installed``/``evicted`` are the *net* residency changes of the batch
-    (see :func:`_net_effect`).
+    (see :func:`_net_effect`).  A ``__slots__`` class: every touch makes
+    one, and most touches are a line or two.
     """
 
-    refs: int
-    hits: int
-    misses: int
-    installed: np.ndarray
-    evicted: np.ndarray
+    __slots__ = ("refs", "hits", "misses", "installed", "evicted")
+
+    def __init__(
+        self,
+        refs: int,
+        hits: int,
+        misses: int,
+        installed: np.ndarray,
+        evicted: np.ndarray,
+    ) -> None:
+        self.refs = refs
+        self.hits = hits
+        self.misses = misses
+        self.installed = installed
+        self.evicted = evicted
+
+    def __repr__(self) -> str:
+        return (
+            f"AccessResult(refs={self.refs}, hits={self.hits}, "
+            f"misses={self.misses}, installed={self.installed!r}, "
+            f"evicted={self.evicted!r})"
+        )
 
 
 class CacheStats:
@@ -169,7 +185,8 @@ class DirectMappedCache(_BaseCache):
     up each index's references in batch order; a reference hits iff it
     sees its own line.  Each line maps to one index, so the batch's net
     residency change is, per index, the resident line before the batch
-    out and the index's last line in, whenever the two differ.
+    out and the index's last line in, whenever the two differ.  A
+    one-line batch or invalidation takes the same steps on Python scalars.
     """
 
     def __init__(self, size_bytes: int, line_bytes: int = 64) -> None:
@@ -199,17 +216,17 @@ class DirectMappedCache(_BaseCache):
         """
         plines = np.asarray(lines, dtype=np.int64)
         refs = plines.size
+        if refs == 1:
+            return self._access_line(plines.item())
         if refs == 0:
             return AccessResult(0, 0, 0, _EMPTY, _EMPTY)
         resident = self._resident
         idx = self._indices(plines)
-        new_group = None
-        if refs > 1:
-            order = idx.argsort(kind="stable")
-            sorted_idx = idx[order]
-            # new_group[k]: sorted reference k + 1 starts another index
-            new_group = sorted_idx[1:] != sorted_idx[:-1]
-        if new_group is None or new_group.all():
+        order = idx.argsort(kind="stable")
+        sorted_idx = idx[order]
+        # new_group[k]: sorted reference k + 1 starts another index
+        new_group = sorted_idx[1:] != sorted_idx[:-1]
+        if new_group.all():
             # distinct indices: one gather, compare and scatter
             before = resident[idx]
             miss = before != plines
@@ -240,8 +257,37 @@ class DirectMappedCache(_BaseCache):
         self._notify(installed, evicted)
         return AccessResult(refs, hits, misses, installed, evicted)
 
+    def _access_line(self, pline: int) -> AccessResult:
+        """A one-line batch, in Python scalars: most touches are one line,
+        and a numpy call on a one-element array costs more than the
+        whole lookup."""
+        stats = self.stats
+        stats.refs += 1
+        index = self.index_of(pline)
+        before = self._resident.item(index)
+        if before == pline:
+            stats.hits += 1
+            return AccessResult(1, 1, 0, _EMPTY, _EMPTY)
+        self._resident[index] = pline
+        stats.misses += 1
+        installed = np.array((pline,), dtype=np.int64)
+        evicted = (
+            np.array((before,), dtype=np.int64) if before >= 0 else _EMPTY
+        )
+        self._notify(installed, evicted)
+        return AccessResult(1, 0, 1, installed, evicted)
+
     def invalidate(self, lines: np.ndarray) -> int:
         plines = np.asarray(lines, dtype=np.int64)
+        if plines.size == 1:
+            pline = plines.item()
+            index = self.index_of(pline)
+            if self._resident.item(index) != pline:
+                return 0
+            self._resident[index] = -1
+            self.stats.invalidations += 1
+            self._notify(_EMPTY, np.array((pline,), dtype=np.int64))
+            return 1
         if plines.size == 0:
             return 0
         idx = self._indices(plines)

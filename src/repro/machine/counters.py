@@ -56,10 +56,6 @@ class _Pic:
     wrap: int = _WRAP
     value: int = 0
 
-    def add(self, event: CounterEvent, amount: int) -> None:
-        if event is self.event:
-            self.value = (self.value + amount) % self.wrap
-
 
 class PerformanceCounters:
     """A per-processor PCR plus two PICs.
@@ -117,7 +113,8 @@ class PerformanceCounters:
     def record(self, event: CounterEvent, amount: int = 1) -> None:
         """Hardware-side: accumulate an event occurrence."""
         for pic in self._pics:
-            pic.add(event, amount)
+            if pic.event is event:
+                pic.value = (pic.value + amount) % pic.wrap
 
     def read(self, privileged: bool = False) -> Tuple[int, int]:
         """Read (PIC0, PIC1) from user or supervisor mode."""

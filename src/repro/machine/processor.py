@@ -90,6 +90,15 @@ class Processor:
         self.counters.record(CounterEvent.ECACHE_MISSES, result.misses)
         return result
 
+    def invalidate(self, plines: np.ndarray) -> int:
+        """Drop this cpu's copies of ``plines``, which are distinct, and
+        count the dropped lines as E-cache invalidations; returns how many
+        there were.  Write invalidation and the inference's page probe
+        both come through here."""
+        dropped = self.l2.invalidate(plines)
+        self.counters.record(CounterEvent.ECACHE_INVALIDATIONS, dropped)
+        return dropped
+
     # -- convenience ------------------------------------------------------
 
     def snapshot(self) -> dict:

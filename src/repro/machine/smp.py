@@ -10,14 +10,15 @@ paper:
 - it implements write invalidation, so that "data cached by one processor
   is modified by another" actually removes lines from remote caches.  The
   paper's *model* deliberately ignores invalidations (its counters cannot
-  see them, section 3.4); the *simulated hardware* here still performs
-  them, so the model faces the same unmodelled effects it faced on the
-  real machine.
+  count them together with misses, section 3.4); the *simulated
+  hardware* here still performs them, and a PIC selected for
+  ``ECACHE_INVALIDATIONS`` counts them, so the model faces the same
+  unmodelled effects it faced on the real machine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,39 +31,45 @@ from repro.machine.vm import PlacementPolicy, VirtualMemory
 
 
 class LineDirectory:
-    """Which cpus currently cache each physical line."""
+    """Which cpus currently cache each physical line.
+
+    Each cached line maps to a Python int whose bit ``c`` is set while
+    cpu ``c`` holds it.  Python ints have no width, so any cpu count fits,
+    and a mask below 256 is one of the interpreter's shared small ints:
+    an 8-cpu directory stores no object per line beyond its key.
+    """
 
     def __init__(self, num_cpus: int) -> None:
         self.num_cpus = num_cpus
-        self._holders: Dict[int, Set[int]] = {}
+        self._holders: Dict[int, int] = {}
 
     def add(self, cpu_id: int, plines: np.ndarray) -> None:
         holders = self._holders
+        get = holders.get
+        bit = 1 << cpu_id
         for pline in plines.tolist():
-            holders.setdefault(pline, set()).add(cpu_id)
+            holders[pline] = get(pline, 0) | bit
 
     def remove(self, cpu_id: int, plines: np.ndarray) -> None:
         holders = self._holders
+        keep = ~(1 << cpu_id)
         for pline in plines.tolist():
-            cpus = holders.get(pline)
-            if cpus is None:
+            mask = holders.get(pline)
+            if mask is None:
                 continue
-            cpus.discard(cpu_id)
-            if not cpus:
+            mask &= keep
+            if mask:
+                holders[pline] = mask
+            else:
                 del holders[pline]
 
     def count_remote(self, plines: np.ndarray, cpu_id: int) -> int:
         """How many of ``plines`` some other cpu caches."""
-        holders = self._holders
+        get = self._holders.get
+        others = ~(1 << cpu_id)
         count = 0
         for pline in plines.tolist():
-            cpus = holders.get(pline)
-            if not cpus:
-                continue
-            if cpu_id in cpus:
-                if len(cpus) > 1:
-                    count += 1
-            else:
+            if get(pline, 0) & others:
                 count += 1
         return count
 
@@ -74,19 +81,23 @@ class LineDirectory:
         Each line is listed once, however often ``plines`` names it.  Cpus
         appear in the order of their first such line in ``plines`` (ties
         by cpu id); each cpu's lines keep their first-occurrence order.
+        A one-line ``plines`` is itself each holder's array.
         """
-        holders = self._holders
+        get = self._holders.get
+        others = ~(1 << cpu_id)
+        lines = plines.tolist()
         copies: Dict[int, List[int]] = {}
-        for pline in dict.fromkeys(plines.tolist()):
-            cpus = holders.get(pline)
-            if not cpus or (cpu_id in cpus and len(cpus) == 1):
-                continue
-            for holder in sorted(cpus):
-                if holder != cpu_id:
-                    copies.setdefault(holder, []).append(pline)
+        for pline in dict.fromkeys(lines):
+            mask = get(pline, 0) & others
+            while mask:
+                low = mask & -mask
+                copies.setdefault(low.bit_length() - 1, []).append(pline)
+                mask ^= low
+        if len(lines) == 1:
+            return dict.fromkeys(copies, plines)
         return {
-            holder: np.asarray(lines, dtype=np.int64)
-            for holder, lines in copies.items()
+            holder: np.asarray(held, dtype=np.int64)
+            for holder, held in copies.items()
         }
 
 
@@ -181,7 +192,7 @@ class Machine:
     def _invalidate_remote_copies(self, writer: int, plines: np.ndarray) -> None:
         copies = self.directory.remote_copies(plines, writer)
         for cpu_id, victims in copies.items():
-            self.cpus[cpu_id].l2.invalidate(victims)
+            self.cpus[cpu_id].invalidate(victims)
 
     # -- clocks ------------------------------------------------------------
 

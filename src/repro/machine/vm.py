@@ -185,9 +185,13 @@ class VirtualMemory:
         One gather of each line's page shift; only when some line lands on
         an unmapped page are that batch's unmapped pages faulted in, in
         ascending page order (the order the placement policy sees), before
-        a second gather.
+        a second gather.  A one-line batch takes the same steps on Python
+        scalars.
         """
         vlines = np.asarray(vlines, dtype=np.int64)
+        if vlines.size == 1:
+            pline = self._translate_line(vlines.item())
+            return np.array((pline,), dtype=np.int64)
         if vlines.size == 0:
             return vlines
         if vlines[vlines.argmin()] < 0:
@@ -199,6 +203,21 @@ class VirtualMemory:
                 self._fault(vpage)
             plines = vlines + self._v2p_shift.take(vpages, mode="clip")
         return plines
+
+    def _translate_line(self, vline: int) -> int:
+        if vline < 0:
+            raise ValueError("virtual line numbers must be non-negative")
+        vpage = vline // self.lines_per_page
+        table = self._v2p_shift
+        # a page at or past the sentinel slot reads as unmapped, as the
+        # batch path's clipped gather does
+        pline = vline + (
+            table.item(vpage) if vpage < table.size - 1 else _UNMAPPED
+        )
+        if pline < 0:
+            self._fault(vpage)
+            pline = vline + self._v2p_shift.item(vpage)
+        return pline
 
     def reverse_lines(self, plines: np.ndarray) -> np.ndarray:
         """Virtual line of each physical line; unmapped lines map to ``-1``."""

@@ -27,7 +27,7 @@ dispatches from the global FIFO every ``fairness_boost``-th pick.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class LocalityScheduler(Scheduler):
         self._ready = 0
         self._picks = 0
         self._heap_regions = []
+        #: per cpu: heap length -> its heap path's lines (_heap_path)
+        self._heap_paths: List[Dict[int, np.ndarray]] = []
         self._entry_regions = []
         self._queue_region = None
         self._queue_pos = 0
@@ -125,6 +127,7 @@ class LocalityScheduler(Scheduler):
                 space.allocate_lines(f"sched-heap-cpu{i}", self._heap_lines)
                 for i in range(num_cpus)
             ]
+            self._heap_paths = [{} for _ in range(num_cpus)]
             self._queue_region = space.allocate_lines(
                 "sched-global-queue", queue_lines
             )
@@ -144,16 +147,26 @@ class LocalityScheduler(Scheduler):
             return
         if on_cpu is None:
             on_cpu = heap_cpu
-        region = self._heap_regions[heap_cpu]
-        pos = max(1, len(self.heaps[heap_cpu]))
-        line_idxs = set()
-        while pos >= 1:
-            line_idxs.add((pos // ENTRIES_PER_LINE) % self._heap_lines)
-            pos >>= 1
-        lines = region.first_line + np.fromiter(
-            sorted(line_idxs), dtype=np.int64, count=len(line_idxs)
-        )
+        length = max(1, len(self.heaps[heap_cpu]))
+        paths = self._heap_paths[heap_cpu]
+        lines = paths.get(length)
+        if lines is None:
+            lines = paths[length] = self._heap_path(heap_cpu, length)
         self._kernel_touch(on_cpu, lines)
+
+    def _heap_path(self, heap_cpu: int, length: int) -> np.ndarray:
+        """The lines of the root-to-leaf path of ``heap_cpu``'s heap array
+        at ``length`` entries, ascending and each once (read-only: the
+        array is memoised)."""
+        offsets = set()
+        pos = length
+        while pos >= 1:
+            offsets.add((pos // ENTRIES_PER_LINE) % self._heap_lines)
+            pos >>= 1
+        first = self._heap_regions[heap_cpu].first_line
+        lines = np.array([first + o for o in sorted(offsets)], dtype=np.int64)
+        lines.flags.writeable = False
+        return lines
 
     def _touch_entries(self, cpu: int, tids, on_cpu: Optional[int] = None) -> None:
         """Touch the priority-entry records consulted or rewritten for
@@ -162,11 +175,10 @@ class LocalityScheduler(Scheduler):
             return
         if on_cpu is None:
             on_cpu = cpu
-        region = self._entry_regions[cpu]
-        lines = region.first_line + (
-            np.asarray(sorted(set(tids)), dtype=np.int64) // 2
-        ) % self._entry_lines
-        self._kernel_touch(on_cpu, np.unique(lines))
+        first = self._entry_regions[cpu].first_line
+        size = self._entry_lines
+        lines = sorted({first + (tid // 2) % size for tid in tids})
+        self._kernel_touch(on_cpu, np.array(lines, dtype=np.int64))
 
     def _touch_queue(self, cpu: int) -> None:
         """Touch the global queue's ring buffer slot."""

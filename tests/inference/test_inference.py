@@ -5,6 +5,7 @@ import pytest
 
 from repro.inference import CMLBuffer, SharingInference
 from repro.inference.infer import _Signature
+from repro.machine.counters import CounterEvent
 from repro.machine.smp import Machine
 from repro.sched.fcfs import FCFSScheduler
 from repro.sched.locality import make_lff
@@ -136,6 +137,24 @@ class TestSharingInference:
             runtime.at_create(body, name=name)
         runtime.run()
         assert inference.edges_written == 0
+
+    def test_probe_invalidations_reach_a_pic(self, machine):
+        runtime = Runtime(machine, FCFSScheduler(model_scheduler_memory=False))
+        inference = SharingInference(runtime, probe_pages=1)
+        cpu = machine.cpus[0]
+        cpu.counters.configure(
+            CounterEvent.ECACHE_REFS,
+            CounterEvent.ECACHE_INVALIDATIONS,
+            privileged=True,
+        )
+        lpp = machine.vm.lines_per_page
+        machine.touch(0, np.arange(lpp + 3))
+        (pline,) = machine.vm.translate_lines(np.asarray([lpp])).tolist()
+        inference._probe(0, {pline // lpp})
+        assert inference.probes == 1
+        refs, invalidations = cpu.counters.read()
+        assert refs == cpu.l2.stats.refs == lpp + 3
+        assert invalidations == cpu.l2.stats.invalidations == 3
 
     def test_probing_can_be_disabled(self, machine):
         runtime = Runtime(machine, FCFSScheduler(model_scheduler_memory=False))

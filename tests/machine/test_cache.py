@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine.cache import (
@@ -255,3 +255,60 @@ class TestNetEffect:
     def test_pure_evict(self):
         net_in, net_out = _net_effect([], [3])
         assert net_out.tolist() == [3]
+
+
+@st.composite
+def _one_line_ops(draw):
+    """A cache size (a power of two, indexed by mask, or not, indexed by
+    modulo) and one-line accesses and invalidations over 2-4x its lines."""
+    num_lines = draw(st.sampled_from([16, 12]))
+    span = num_lines * draw(st.integers(2, 4))
+    op = st.tuples(st.sampled_from(["access", "invalidate"]),
+                   st.integers(0, span - 1))
+    return num_lines, draw(st.lists(op, max_size=40))
+
+
+@given(_one_line_ops())
+@example((16, [("access", 0), ("access", 16), ("invalidate", 16)]))
+@settings(max_examples=200, deadline=None)
+def test_one_line_access_and_invalidate_match_line_at_a_time(case):
+    num_lines, ops = case
+    cache = DirectMappedCache(num_lines * 64, 64)
+    seen = {"in": [], "out": []}
+    cache.on_install(lambda arr: seen["in"].append((arr.dtype, arr.tolist())))
+    cache.on_evict(lambda arr: seen["out"].append((arr.dtype, arr.tolist())))
+    resident = {}
+    stats = dict(refs=0, hits=0, misses=0, invalidations=0)
+    for op, pline in ops:
+        seen["in"].clear()
+        seen["out"].clear()
+        index = pline % num_lines
+        before = resident.get(index)
+        if op == "access":
+            result = cache.access(lines(pline))
+            hit = before == pline
+            resident[index] = pline
+            stats["refs"] += 1
+            stats["hits" if hit else "misses"] += 1
+            installed = [] if hit else [pline]
+            evicted = [] if hit or before is None else [before]
+            assert (result.refs, result.hits, result.misses) == (
+                1, int(hit), int(not hit)
+            )
+            assert result.installed.dtype == result.evicted.dtype == np.int64
+            assert result.installed.tolist() == installed
+            assert result.evicted.tolist() == evicted
+        else:
+            dropped = cache.invalidate(lines(pline))
+            held = before == pline
+            if held:
+                del resident[index]
+            stats["invalidations"] += int(held)
+            installed, evicted = [], [pline] if held else []
+            assert dropped == int(held)
+        assert seen["in"] == ([(np.int64, installed)] if installed else [])
+        assert seen["out"] == ([(np.int64, evicted)] if evicted else [])
+        assert cache.stats.snapshot() == stats
+        assert sorted(cache.resident_lines().tolist()) == sorted(
+            resident.values()
+        )

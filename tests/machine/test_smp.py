@@ -4,16 +4,35 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine.cache import DirectMappedCache, SetAssociativeCache
 from repro.machine.configs import SMALL, ULTRA1
+from repro.machine.counters import CounterEvent
 from repro.machine.smp import LineDirectory, Machine
 
 
 def lines(*values):
     return np.asarray(values, dtype=np.int64)
+
+
+@st.composite
+def _directory_ops(draw):
+    """A cpu count, up to 70, and directory calls whose cpus favour the
+    highest ids; few distinct lines, so batches repeat lines and cpus
+    share them."""
+    num_cpus = draw(st.one_of(st.integers(1, 8), st.integers(63, 70)))
+    cpu = st.one_of(
+        st.integers(0, num_cpus - 1),
+        st.integers(max(0, num_cpus - 8), num_cpus - 1),
+    )
+    op = st.tuples(
+        st.sampled_from(["add", "remove", "count", "copies"]),
+        cpu,
+        st.lists(st.integers(0, 11), max_size=8),
+    )
+    return num_cpus, draw(st.lists(op, max_size=60))
 
 
 class TestLineDirectory:
@@ -63,6 +82,74 @@ class TestLineDirectory:
         assert directory.count_remote(lines(1, 2, 3), cpu_id=1) == 2
         assert directory.count_remote(lines(1, 2, 3), cpu_id=0) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(_directory_ops())
+    @example((70, [("add", 69, [1]), ("add", 5, [1]), ("count", 69, [1])]))
+    @example(
+        (66, [("add", 65, [2, 2]), ("add", 1, [2]), ("remove", 65, [2]),
+              ("copies", 0, [2])])
+    )
+    def test_matches_a_dict_of_sets(self, case):
+        """Holder bitmasks against the sets they replace, past 64 cpus."""
+        num_cpus, ops = case
+        directory = LineDirectory(num_cpus)
+        reference = _SetDirectory()
+        for op, cpu, batch in ops:
+            plines = np.asarray(batch, dtype=np.int64)
+            if op == "add":
+                directory.add(cpu, plines)
+                reference.add(cpu, batch)
+            elif op == "remove":
+                directory.remove(cpu, plines)
+                reference.remove(cpu, batch)
+            elif op == "count":
+                assert directory.count_remote(
+                    plines, cpu
+                ) == reference.count_remote(batch, cpu)
+            else:
+                copies = directory.remote_copies(plines, cpu)
+                assert all(held.dtype == np.int64 for held in copies.values())
+                assert [
+                    (holder, held.tolist()) for holder, held in copies.items()
+                ] == reference.remote_copies(batch, cpu)
+        everything = np.arange(12, dtype=np.int64)
+        for cpu in range(num_cpus):
+            assert directory.count_remote(
+                everything, cpu
+            ) == reference.count_remote(range(12), cpu)
+
+
+class _SetDirectory:
+    """Reference directory: a set of holder cpus per line."""
+
+    def __init__(self):
+        self.holders = {}
+
+    def add(self, cpu, batch):
+        for pline in batch:
+            self.holders.setdefault(pline, set()).add(cpu)
+
+    def remove(self, cpu, batch):
+        for pline in batch:
+            cpus = self.holders.get(pline)
+            if cpus is not None:
+                cpus.discard(cpu)
+                if not cpus:
+                    del self.holders[pline]
+
+    def count_remote(self, batch, cpu):
+        return sum(
+            1 for pline in batch if self.holders.get(pline, set()) - {cpu}
+        )
+
+    def remote_copies(self, batch, cpu):
+        copies = {}
+        for pline in dict.fromkeys(batch):
+            for holder in sorted(self.holders.get(pline, ())):
+                if holder != cpu:
+                    copies.setdefault(holder, []).append(pline)
+        return list(copies.items())
+
 
 class TestMachineCoherence:
     def test_remote_miss_priced_higher(self, smp):
@@ -81,6 +168,23 @@ class TestMachineCoherence:
         smp.touch(0, np.arange(10), write=True)
         assert smp.cpus[1].l2.resident_lines().size == 0
         assert smp.cpus[0].l2.resident_lines().size == 10
+
+    def test_write_invalidation_reaches_a_pic(self, smp):
+        for cpu in smp.cpus:
+            cpu.counters.configure(
+                CounterEvent.ECACHE_REFS,
+                CounterEvent.ECACHE_INVALIDATIONS,
+                privileged=True,
+            )
+        smp.touch(1, np.arange(10))
+        smp.touch(2, np.arange(3))
+        smp.touch(0, np.arange(4), write=True)
+        smp.touch(0, np.arange(2, 3), write=True)
+        for cpu in smp.cpus:
+            refs, invalidations = cpu.counters.read()
+            assert refs == cpu.l2.stats.refs
+            assert invalidations == cpu.l2.stats.invalidations
+        assert [cpu.counters.read()[1] for cpu in smp.cpus] == [0, 4, 3, 0]
 
     def test_write_does_not_invalidate_self(self, smp):
         smp.touch(0, np.arange(10), write=True)

@@ -225,3 +225,48 @@ class TestArrayPageTables:
         with pytest.raises(ValueError):
             vm.translate_lines(np.asarray([3, -1], dtype=np.int64))
         assert vm.page_faults == 2
+
+
+class TestOneLineTranslation:
+    """A one-line batch is translated on Python scalars; a two-line batch
+    of the same line takes the array path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy=st.sampled_from([KesslerHillPlacement, NaivePlacement]),
+        seed=st.integers(0, 2**16),
+        vlines=st.lists(
+            # lines 32 to a page, as in TestArrayPageTables; negative
+            # lines must be rejected by both paths alike
+            st.one_of(
+                st.integers(0, 255),
+                st.integers(0, 4000 * 32),
+                st.integers(-64, -1),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_one_line_matches_the_batch_path(self, policy, seed, vlines):
+        scalar = make_vm(policy_cls=policy, seed=seed)
+        batch = make_vm(policy_cls=policy, seed=seed)
+        for vline in vlines:
+            one = np.asarray([vline], dtype=np.int64)
+            two = np.asarray([vline, vline], dtype=np.int64)
+            if vline < 0:
+                with pytest.raises(ValueError) as single_error:
+                    scalar.translate_lines(one)
+                with pytest.raises(ValueError) as batch_error:
+                    batch.translate_lines(two)
+                assert str(single_error.value) == str(batch_error.value)
+            else:
+                plines = scalar.translate_lines(one)
+                assert plines.dtype == np.int64
+                assert plines.tolist() == batch.translate_lines(two)[:1].tolist()
+            assert scalar.page_faults == batch.page_faults
+            assert scalar._next_frame_in_bin == batch._next_frame_in_bin
+            assert (
+                scalar.policy.rng.bit_generator.state
+                == batch.policy.rng.bit_generator.state
+            )
+        assert scalar._v2p_shift.tolist() == batch._v2p_shift.tolist()

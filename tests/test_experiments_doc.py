@@ -63,7 +63,10 @@ def _experiments():
 
 def test_quoted_results_match_their_files():
     text = _experiments()
-    assert {"fig8.txt", "fig9.txt", "table5.txt"} <= set(quoted_names(text))
+    assert {
+        "table1.txt", "fig4.txt", "fig5.txt", "fig6.txt", "fig7.txt",
+        "table3.txt", "fig8.txt", "fig9.txt", "table5.txt",
+    } <= set(quoted_names(text))
     assert stale_blocks(text) == []
 
 
