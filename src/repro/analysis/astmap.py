@@ -1,12 +1,13 @@
 """Static localization of ``at_share`` call sites in workload source.
 
 The auditor knows *which* graph edge is wrong; this pass knows *where*
-the edge came from.  A plain AST walk over ``src/repro/workloads/*.py``
-finds every ``runtime.at_share(src, dst, q)`` call, records whether the
-q argument is a numeric literal (patchable in place) or a computed
-expression (loop-generated sites like photo's stencil rows — suggestion
-only), and exposes the literal's exact source span so the repair engine
-can rewrite it without reformatting anything else.
+the edge came from.  A plain AST walk over the workload module that
+issued the annotation finds every ``runtime.at_share(src, dst, q)``
+call, records whether the q argument is a numeric literal (patchable in
+place) or a computed expression (loop-generated sites like photo's
+stencil rows — suggestion only), and exposes the literal's exact source
+span so the repair engine can rewrite it without reformatting anything
+else.
 
 Recognized call shapes (each covered by a test in
 ``tests/analysis/test_astmap.py``):
@@ -19,8 +20,7 @@ Recognized call shapes (each covered by a test in
 - arguments positional or keyword: ``at_share(a, b, 0.3)``,
   ``at_share(a, b, q=0.3)``, ``at_share(src=a, dst=b, q=0.3)``.
 
-Everything here is deterministic: files are scanned in sorted order and
-sites are reported in source order.
+Everything here is deterministic: sites are reported in source order.
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
-
-from repro.analysis.sources import SourceRegistry
+from typing import List, Optional, Set, Tuple
 
 __all__ = [
     "ShareSite",
     "scan_share_sites",
-    "scan_workload_sources",
     "site_at",
     "patch_literal",
 ]
@@ -199,34 +196,17 @@ class _SiteCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def scan_share_sites(
-    path: str, registry: Optional[SourceRegistry] = None
-) -> List[ShareSite]:
+def scan_share_sites(path: str) -> List[ShareSite]:
     """All ``at_share`` calls in one source file, in source order.
 
-    ``registry`` shares the parse with the other analysis passes; without
-    one, the file is read and parsed directly (one-shot callers).
+    Raises ``OSError`` when the file is unreadable and ``SyntaxError``
+    when it does not parse.
     """
-    if registry is not None:
-        tree: ast.Module = registry.tree(path)
-    else:
-        source = Path(path).read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=path)
+    source = Path(path).read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=path)
     collector = _SiteCollector(path, _alias_names(tree))
     collector.visit(tree)
     return collector.sites
-
-
-def scan_workload_sources(
-    root: str, registry: Optional[SourceRegistry] = None
-) -> Dict[str, List[ShareSite]]:
-    """Scan every workload module under ``root`` (a directory)."""
-    sites: Dict[str, List[ShareSite]] = {}
-    for path in sorted(Path(root).glob("*.py")):
-        found = scan_share_sites(str(path), registry=registry)
-        if found:
-            sites[str(path)] = found
-    return sites
 
 
 def site_at(sites: List[ShareSite], line: int) -> Optional[ShareSite]:

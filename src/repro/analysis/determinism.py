@@ -56,10 +56,6 @@ DEFAULT_TARGETS = (
     # baseline, so its own determinism is load-bearing
     "repro/analysis/repair.py",
     "repro/analysis/astmap.py",
-    # the static sharing inference feeds the baseline gate and the
-    # repair bridge: byte-stable output is part of its contract
-    "repro/analysis/staticshare",
-    "repro/analysis/sources.py",
 )
 
 SUPPRESS_MARK = "repro-lint: ignore"

@@ -41,6 +41,8 @@ DT006   error     unaudited-timer: a raw wall-clock read inside a
                   through the subsystem's one audited reader
 DT007   retired   linted a socket-cluster registry that no longer
                   exists; the code is not reused
+SA...   retired   the static sharing inference's three codes; removed
+                  with it, not reused
 MC001   error     unpredicted-deadlock: the model checker reached a
                   deadlock that the lock-order pass does not predict
 MC002   error     sync-order-violation: non-FIFO mutex/semaphore handoff
@@ -56,16 +58,6 @@ MC004   error     priority-update-violation: an LFF context switch
 MC005   error     cache-model-violation: the closed-form footprint
                   formulas disagree with the brute-forced birth-death
                   chain, or a case-3 reduction / monotonicity law fails
-SA001   warning   static-unannotated-sharing: the static inference
-                  predicts two spawn units share state (definite or
-                  conditional tier) but no ``at_share`` covers the pair
-SA002   warning   static-unreachable-annotation: an ``at_share`` pair
-                  whose units have statically disjoint footprints -- the
-                  annotated sharing is unreachable from the source
-SA003   warning   static-dynamic-disagreement: a definite static edge
-                  the dynamic audit observed no overlap for, or a
-                  dynamically-expected pair the static pass predicts no
-                  edge for
 ======  ========  ======================================================
 """
 
@@ -96,9 +88,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "MC003": ("error", "result-divergence"),
     "MC004": ("error", "priority-update-violation"),
     "MC005": ("error", "cache-model-violation"),
-    "SA001": ("warning", "static-unannotated-sharing"),
-    "SA002": ("warning", "static-unreachable-annotation"),
-    "SA003": ("warning", "static-dynamic-disagreement"),
 }
 
 

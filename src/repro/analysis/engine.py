@@ -29,7 +29,6 @@ from repro.analysis.determinism import lint_paths
 from repro.analysis.diagnostics import Diagnostic, Report
 from repro.analysis.locks import LockOrderMonitor, scan_workload_class
 from repro.analysis.races import RaceSanitizer
-from repro.analysis.sources import SourceRegistry
 
 PASSES = ("annotations", "locks", "races")
 
@@ -137,14 +136,12 @@ def audit_workload(
     with_inference: bool = True,
     injector=None,
     overlay: Optional[AuditOverlay] = None,
-    registry: Optional[SourceRegistry] = None,
 ) -> AuditRun:
     """:func:`analyze_workload`, returning the monitors with the findings.
 
     ``overlay`` is the repair engine's install point: a candidate fix set
     wraps the sharing graph after the auditor does, so the re-audit judges
-    the *repaired* annotations (docs/ANALYSIS.md, Repair).  ``registry``
-    shares source parses across passes within one analysis run.
+    the *repaired* annotations (docs/ANALYSIS.md, Repair).
     """
     from repro.machine.configs import SMALL
     from repro.machine.smp import Machine
@@ -208,7 +205,7 @@ def audit_workload(
     if auditor is not None:
         found.extend(auditor.diagnose(f"annotations({name})", anchor=anchor))
     if locks is not None:
-        static_graph, _rel = scan_workload_class(type(workload), registry=registry)
+        static_graph, _rel = scan_workload_class(type(workload))
         found.extend(static_graph.cycle_diagnostics(f"locks({name}):static"))
         found.extend(locks.diagnose(f"locks({name})"))
         found.extend(run_findings)
@@ -236,33 +233,6 @@ def _workload_anchor(workload_cls) -> Optional[str]:
     return f"{rel}:{lineno}"
 
 
-def static_validate_workload(
-    name: str,
-    workload_factory: Optional[Callable[[], object]] = None,
-    registry: Optional[SourceRegistry] = None,
-    audit: Optional[AuditRun] = None,
-):
-    """The static sharing inference for one workload, cross-validated
-    against ``audit`` when one is supplied (else purely static).
-
-    Returns a :class:`~repro.analysis.staticshare.CrossValidation`, or
-    None when the workload's source cannot be analyzed.
-    """
-    from repro.analysis.staticshare import cross_validate, predict_workload
-
-    if workload_factory is None:
-        workload_factory = _lint_workloads()[name]
-    prediction = predict_workload(
-        type(workload_factory()), name, registry=registry
-    )
-    if prediction is None:
-        return None
-    observations = None
-    if audit is not None and audit.auditor is not None:
-        observations = audit.auditor.observations()
-    return cross_validate(prediction, observations, f"staticshare({name})")
-
-
 def run_analysis(
     workloads: Optional[List[str]] = None,
     passes: Tuple[str, ...] = PASSES,
@@ -270,34 +240,20 @@ def run_analysis(
     with_lint: bool = False,
     with_mc: bool = False,
     mc_budget: str = "small",
-    with_static: bool = False,
 ) -> Report:
     """Analyze the named workloads (default: all) into one report.
 
     ``with_mc`` additionally explores the model-checker fixtures and
     verifies the cache model symbolically (``repro analyze --mc``) --
     slower, so off by default; ``repro mc`` runs the same machinery with
-    its own richer output.  ``with_static`` additionally runs the static
-    sharing inference per workload and cross-validates it against the
-    dynamic audit (SA001-SA003 findings join the report).
-
-    One :class:`SourceRegistry` serves every pass, so each workload
-    module is parsed at most once per analysis run.
+    its own richer output.
     """
     from repro.analysis.diagnostics import load_baseline
 
-    registry = SourceRegistry()
     names = workloads if workloads else lint_workload_names()
     report = Report()
     for name in sorted(names):
-        audit = audit_workload(name, passes=passes, registry=registry)
-        report.extend(audit.findings)
-        if with_static:
-            validation = static_validate_workload(
-                name, registry=registry, audit=audit
-            )
-            if validation is not None:
-                report.extend(validation.diagnostics)
+        report.extend(analyze_workload(name, passes=passes))
     if with_lint:
         report.extend(lint_paths())
     if with_mc:

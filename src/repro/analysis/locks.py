@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import ast
 import inspect
+from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.sources import SourceRegistry
 from repro.threads import events as ev
 from repro.threads.thread import ThreadState
 
@@ -247,20 +247,14 @@ def scan_source(tree: ast.AST, path: str) -> LockGraph:
     return graph
 
 
-def scan_workload_class(
-    workload_cls, registry: Optional[SourceRegistry] = None
-) -> Tuple[LockGraph, str]:
+def scan_workload_class(workload_cls) -> Tuple[LockGraph, str]:
     """Static scan of the module defining ``workload_cls``.
 
     Returns the graph and the repo-relative path used in anchors.
-    ``registry`` shares the module's parse with the other analysis
-    passes (astmap, staticshare); without one a throwaway registry is
-    used, preserving the one-shot behaviour.
     """
     source_file = inspect.getsourcefile(workload_cls)
-    if registry is None:
-        registry = SourceRegistry()
-    tree = registry.tree(source_file)
+    source = Path(source_file).read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=source_file)
     marker = "repro/"
     idx = source_file.rfind(marker)
     rel = source_file[idx:] if idx >= 0 else source_file

@@ -37,7 +37,7 @@ clocks -- the suggest report is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -66,12 +66,6 @@ from repro.analysis.engine import (
     MAX_ANALYZE_EVENTS,
     AuditRun,
     audit_workload,
-    static_validate_workload,
-)
-from repro.analysis.sources import SourceRegistry
-from repro.analysis.staticshare.bridge import (
-    StaticCandidate,
-    static_candidates,
 )
 
 __all__ = [
@@ -204,10 +198,6 @@ class RepairResult:
     resolved: Tuple[str, ...]
     locality: Optional[LocalityDelta]
     iterations: int
-    #: candidates sourced from the static inference's SA001 findings --
-    #: deliberately NOT CEGAR-verified (an unexercised path re-audits as
-    #: spurious by construction); reviewable suggestions only
-    static_candidates: List[StaticCandidate] = field(default_factory=list)
 
     @property
     def patchable_fixes(self) -> List[SiteFix]:
@@ -396,9 +386,7 @@ def _best_path(
 
 
 def localize_fixes(
-    audit: AuditRun,
-    edge_fixes: Sequence[EdgeFix],
-    registry: Optional[SourceRegistry] = None,
+    audit: AuditRun, edge_fixes: Sequence[EdgeFix]
 ) -> List[SiteFix]:
     """Group edge fixes by the call site each edge was annotated from."""
     auditor = audit.auditor
@@ -425,7 +413,7 @@ def localize_fixes(
         )
         if path not in ast_cache:
             try:
-                ast_cache[path] = scan_share_sites(path, registry=registry)
+                ast_cache[path] = scan_share_sites(path)
             except (OSError, SyntaxError):
                 ast_cache[path] = []
         ast_site = site_at(ast_cache[path], line)
@@ -623,34 +611,16 @@ def repair_workload(
     workload_factory: Optional[Callable[[], object]] = None,
     seed: int = 0,
     with_locality: bool = True,
-    with_static: bool = False,
-    registry: Optional[SourceRegistry] = None,
 ) -> RepairResult:
-    """Synthesize, localize, and verify annotation fixes for one workload.
-
-    ``with_static`` additionally runs the static sharing inference and
-    attaches its SA001-sourced candidates (unverified by construction --
-    see :mod:`repro.analysis.staticshare.bridge`) to the result.
-    """
+    """Synthesize, localize, and verify annotation fixes for one workload."""
     audit = audit_workload(
         name,
         workload_factory=workload_factory,
         passes=("annotations",),
         seed=seed,
-        registry=registry,
     )
-    from_static: List[StaticCandidate] = []
-    if with_static:
-        validation = static_validate_workload(
-            name,
-            workload_factory=workload_factory,
-            registry=registry,
-            audit=audit,
-        )
-        if validation is not None:
-            from_static = static_candidates(validation)
     edge_fixes = synthesize_fixes(audit)
-    site_fixes = localize_fixes(audit, edge_fixes, registry=registry)
+    site_fixes = localize_fixes(audit, edge_fixes)
     if not site_fixes:
         return RepairResult(
             workload=name,
@@ -659,7 +629,6 @@ def repair_workload(
             resolved=(),
             locality=None,
             iterations=0,
-            static_candidates=from_static,
         )
     verified, demoted, iterations = verify_fixes(
         name, workload_factory, site_fixes, audit.findings, seed=seed
@@ -697,7 +666,6 @@ def repair_workload(
         resolved=tuple(resolved),
         locality=locality,
         iterations=iterations,
-        static_candidates=from_static,
     )
 
 
@@ -756,8 +724,6 @@ def render_report(result: RepairResult) -> List[str]:
     for suggestion in result.suggestions:
         note = f"  ({suggestion.note})" if suggestion.note else ""
         lines.append(f"  [suggest] {suggestion.render()}{note}")
-    for candidate in result.static_candidates:
-        lines.append(f"  [static] {candidate.render()}")
     if result.locality is not None:
         lines.append(
             f"  locality (LFF misses): blind {result.locality.blind_misses}, "

@@ -376,39 +376,6 @@ def engine_stepped_sparse() -> BenchFn:
     return _sparse_engine_run("stepped")
 
 
-@register("analyze_static", suites=("hotpaths",))
-def analyze_static() -> BenchFn:
-    """The static sharing inference over every shipped workload.
-
-    Parses, scans, and infers the predicted ``at_share`` graph for the
-    four paper workloads from a cold :class:`SourceRegistry` each call --
-    the pure-static arm of ``repro analyze --static`` (no instrumented
-    run), which CI pays on every push.  Predicted edges per wall second
-    is the counter to watch; ``parses`` guards the parse-dedup property.
-    """
-    from repro.analysis.engine import _lint_workloads
-    from repro.analysis.sources import SourceRegistry
-    from repro.analysis.staticshare import predict_workload
-
-    factories = _lint_workloads()
-
-    def run() -> Mapping[str, float]:
-        registry = SourceRegistry()
-        edges = 0
-        for name in sorted(factories):
-            prediction = predict_workload(
-                type(factories[name]()), name, registry=registry
-            )
-            assert prediction is not None
-            edges += len(prediction.edges)
-        return {
-            "edges": float(edges),
-            "parses": float(registry.parse_count),
-        }
-
-    return run
-
-
 @register("model_eval", suites=("smoke",), ops=64 * 1024)
 def model_eval() -> BenchFn:
     """Closed-form footprint model over vectorised miss counts."""

@@ -8,9 +8,8 @@ Commands:
 - ``model``      evaluate the closed-form model directly;
 - ``experiment`` regenerate a paper table/figure by name;
 - ``faults run`` the fault-injection campaign (robustness contract);
-- ``analyze``    annotation lint / lock-order / race passes (byte-stable);
-- ``staticshare``  the static sharing inference: predicted ``at_share``
-  graphs from source, cross-validated against the dynamic audit;
+- ``analyze``    annotation lint / lock-order / race passes (byte-stable),
+  or with ``--suggest``/``--fix`` the annotation repair engine;
 - ``lint``       the repro-lint determinism pass over the simulator source;
 - ``mc``         the schedule model checker (DPOR) + symbolic cache-model
   verification (MC001-MC005);
@@ -378,6 +377,24 @@ def _cmd_faults_run(args) -> int:
     return 0 if all(r.ok for r in rows) else 1
 
 
+#: the ``analyze`` flags that shape the audit report, by the attribute
+#: argparse stores them in; ``--suggest`` reads none of them and
+#: ``--fix`` only those its baseline refresh reads
+_ANALYZE_REPORT_FLAGS = (
+    ("--pass", "passes"),
+    ("--baseline", "baseline"),
+    ("--with-lint", "with_lint"),
+    ("--write-baseline", "write_baseline"),
+    ("--update-baseline", "update_baseline"),
+    ("--strict-baseline", "strict_baseline"),
+    ("--mc", "mc"),
+    ("--mc-budget", "mc_budget"),
+    ("--waive", "waive"),
+    ("--waive-reason", "waive_reason"),
+)
+_FIX_REFRESH_FLAGS = ("--pass", "--baseline", "--with-lint")
+
+
 def _cmd_analyze(args) -> int:
     from repro.analysis import (
         lint_workload_names,
@@ -385,8 +402,26 @@ def _cmd_analyze(args) -> int:
         write_baseline,
     )
 
+    if args.suggest or args.fix:
+        mode = "--fix" if args.fix else "--suggest"
+        reads = _FIX_REFRESH_FLAGS if args.fix else ()
+        ignored = [
+            flag for flag, attr in _ANALYZE_REPORT_FLAGS
+            if flag not in reads and getattr(args, attr) not in (None, False)
+        ]
+        if ignored:
+            print(
+                "repro analyze: %s does not read %s; it reads %s"
+                % (
+                    mode,
+                    ", ".join(ignored),
+                    ", ".join(("--workload", "--all-workloads") + reads),
+                ),
+                file=sys.stderr,
+            )
+            return 2
     names = lint_workload_names()
-    if not args.all_workloads and args.workload:
+    if args.workload:
         unknown = [w for w in args.workload if w not in names]
         if unknown:
             print(
@@ -405,8 +440,7 @@ def _cmd_analyze(args) -> int:
         baseline_path=args.baseline,
         with_lint=args.with_lint,
         with_mc=args.mc,
-        mc_budget=args.mc_budget,
-        with_static=args.static,
+        mc_budget=args.mc_budget or "small",
     )
     if args.waive:
         from repro.analysis.diagnostics import add_waiver
@@ -488,14 +522,10 @@ def _analyze_repair(args, names, passes) -> int:
         render_report,
         repair_workload,
     )
-    from repro.analysis.sources import SourceRegistry
 
-    registry = SourceRegistry()
     patched_paths = []
     for name in sorted(names):
-        result = repair_workload(
-            name, with_static=args.static, registry=registry
-        )
+        result = repair_workload(name)
         for line in render_report(result):
             print(line)
         if args.fix:
@@ -520,7 +550,6 @@ def _analyze_repair(args, names, passes) -> int:
         passes=passes if passes else ("annotations", "locks", "races"),
         baseline_path=args.baseline,
         with_lint=args.with_lint,
-        with_static=args.static,
     )
     blocking = refresh_baseline(args.baseline, report)
     if blocking:
@@ -538,53 +567,6 @@ def _analyze_repair(args, names, passes) -> int:
         "fingerprint(s)"
     )
     return 0
-
-
-def _cmd_staticshare(args) -> int:
-    """``repro staticshare``: the static sharing inference, standalone."""
-    from repro.analysis import lint_workload_names
-    from repro.analysis.engine import audit_workload, static_validate_workload
-    from repro.analysis.sources import SourceRegistry
-    from repro.analysis.staticshare import render_prediction
-
-    names = lint_workload_names()
-    if args.workload:
-        unknown = [w for w in args.workload if w not in names]
-        if unknown:
-            print(
-                "repro staticshare: unknown workload(s) %s (choose from %s)"
-                % (", ".join(unknown), ", ".join(names)),
-                file=sys.stderr,
-            )
-            return 2
-        names = args.workload
-    registry = SourceRegistry()
-    failed = False
-    blocks = []
-    for name in sorted(names):
-        audit = None
-        if not args.no_dynamic:
-            audit = audit_workload(
-                name, passes=("annotations",), registry=registry
-            )
-        validation = static_validate_workload(
-            name, registry=registry, audit=audit
-        )
-        if validation is None:
-            print(
-                f"repro staticshare: {name}: source not statically "
-                "analyzable",
-                file=sys.stderr,
-            )
-            failed = True
-            continue
-        block = render_prediction(validation.prediction, validation)
-        for diag in validation.diagnostics:
-            block += f"\n  {diag.render()}"
-            failed = True
-        blocks.append(block)
-    print("\n\n".join(blocks))
-    return 1 if failed else 0
 
 
 def _cmd_mc(args) -> int:
@@ -920,12 +902,13 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="annotation lint, lock-order, and race analysis passes",
     )
-    analyze_p.add_argument(
+    analyze_scope = analyze_p.add_mutually_exclusive_group()
+    analyze_scope.add_argument(
         "--workload",
         action="append",
         help="workload to analyze (repeatable; default: all)",
     )
-    analyze_p.add_argument(
+    analyze_scope.add_argument(
         "--all-workloads", action="store_true",
         help="analyze every registered workload",
     )
@@ -954,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache-model verification (slower)",
     )
     analyze_p.add_argument(
-        "--mc-budget", choices=("small", "full"), default="small",
+        "--mc-budget", choices=("small", "full"),
         help="exploration budget for --mc (default: small)",
     )
     analyze_p.add_argument(
@@ -986,30 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--waive-reason", metavar="TEXT",
         help="justification stored with --waive",
     )
-    analyze_p.add_argument(
-        "--static", action="store_true",
-        help="also run the static sharing inference and cross-validate "
-        "it against the dynamic audit (SA001-SA003); with --suggest, "
-        "attach unexercised-path candidates from SA001 findings",
-    )
     analyze_p.set_defaults(func=_cmd_analyze)
-
-    staticshare_p = sub.add_parser(
-        "staticshare",
-        help="static sharing inference: predicted at_share graphs, "
-        "cross-validated against the dynamic audit",
-    )
-    staticshare_p.add_argument(
-        "--workload",
-        action="append",
-        help="workload to predict (repeatable; default: all)",
-    )
-    staticshare_p.add_argument(
-        "--no-dynamic", action="store_true",
-        help="skip the instrumented run; report the pure static "
-        "prediction without cross-validation",
-    )
-    staticshare_p.set_defaults(func=_cmd_staticshare)
 
     lint_p = sub.add_parser(
         "lint",

@@ -3,7 +3,11 @@
 The repair engine can only patch sites the scanner finds, so each shape
 the docstring of :mod:`repro.analysis.astmap` promises gets a test:
 attribute receivers, bare and aliased names, and keyword arguments.
+A file that cannot be read or parsed raises rather than yielding no
+sites; the repair engine decides what that means.
 """
+
+import pytest
 
 from repro.analysis.astmap import patch_literal, scan_share_sites, site_at
 
@@ -89,3 +93,15 @@ def test_site_at_spans_multiline_calls(tmp_path):
     source = "runtime.at_share(\n    a,\n    b,\n    0.3,\n)\n"
     sites = _scan(tmp_path, source)
     assert site_at(sites, 3) is sites[0]
+
+
+def test_unreadable_file_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        scan_share_sites(str(tmp_path / "absent.py"))
+
+
+def test_unparsable_file_raises_syntaxerror(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def broken(:\n")
+    with pytest.raises(SyntaxError):
+        scan_share_sites(str(bad))

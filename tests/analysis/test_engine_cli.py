@@ -1,5 +1,7 @@
 """The analyze driver and its CLI surface: determinism, baseline gate."""
 
+import pytest
+
 from repro.analysis.engine import (
     analyze_workload,
     lint_workload_names,
@@ -20,8 +22,6 @@ def test_reports_are_byte_identical_across_runs():
 
 
 def test_unknown_pass_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         analyze_workload("tasks", passes=("nonsense",))
 
@@ -146,3 +146,71 @@ def test_cli_mc_explores_fixture_cleanly(capsys):
 
 def test_cli_mc_unknown_fixture_exits_two(capsys):
     assert main(["mc", "--fixture", "nope"]) == 2
+
+
+# -- flags a mode would ignore are usage errors -------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--all-workloads", "--workload", "nope"],
+    ["analyze", "--workload", "tsp", "--all-workloads"],
+])
+def test_cli_analyze_workload_and_all_workloads_exclude(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_repair(monkeypatch):
+    """Fail the test if a refused invocation reaches the repair engine."""
+    from repro.analysis import repair
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the repair engine ran")
+
+    monkeypatch.setattr(repair, "repair_workload", refuse)
+
+
+@pytest.mark.parametrize("mode, extra, ignored", [
+    ("--suggest", ["--mc"], ["--mc"]),
+    ("--suggest", ["--mc-budget", "full"], ["--mc-budget"]),
+    ("--suggest", ["--waive", "abc123", "--waive-reason", "why"],
+     ["--waive", "--waive-reason"]),
+    ("--suggest", ["--write-baseline"], ["--write-baseline"]),
+    ("--suggest", ["--update-baseline"], ["--update-baseline"]),
+    ("--suggest", ["--strict-baseline"], ["--strict-baseline"]),
+    ("--suggest", ["--baseline", "base.txt"], ["--baseline"]),
+    ("--suggest", ["--pass", "locks"], ["--pass"]),
+    ("--suggest", ["--with-lint"], ["--with-lint"]),
+    ("--suggest", ["--with-lint", "--mc", "--baseline", "base.txt"],
+     ["--baseline", "--with-lint", "--mc"]),
+    ("--fix", ["--mc"], ["--mc"]),
+    ("--fix", ["--mc-budget", "full"], ["--mc-budget"]),
+    ("--fix", ["--waive", "abc123", "--waive-reason", "why"],
+     ["--waive", "--waive-reason"]),
+    ("--fix", ["--write-baseline"], ["--write-baseline"]),
+    ("--fix", ["--update-baseline"], ["--update-baseline"]),
+    ("--fix", ["--strict-baseline"], ["--strict-baseline"]),
+    ("--fix", ["--baseline", "base.txt", "--strict-baseline"],
+     ["--strict-baseline"]),
+])
+def test_cli_analyze_repair_modes_refuse_ignored_flags(
+    mode, extra, ignored, no_repair, capsys
+):
+    assert main(["analyze", "--workload", "tsp", mode] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = captured.err.strip()
+    assert message.startswith(f"repro analyze: {mode} does not read ")
+    named = message.split(" does not read ", 1)[1].split(";", 1)[0]
+    assert named.split(", ") == ignored
+
+
+def test_cli_analyze_fix_accepts_its_refresh_flags(no_repair):
+    """``--fix``'s baseline refresh reads ``--baseline``, ``--pass`` and
+    ``--with-lint``, so together they pass the refusal."""
+    with pytest.raises(AssertionError, match="the repair engine ran"):
+        main(["analyze", "--workload", "tsp", "--fix", "--baseline",
+              "base.txt", "--pass", "locks", "--with-lint"])

@@ -220,6 +220,9 @@ class TestSweepFlags:
         ["compare", "--workload", "tasks", "--backend", "analytic"],
         ["trace", "--app", "merge", "--backend", "sim"],
         ["experiment", "fig8", "--backend", "analytic"],
+        ["staticshare"],
+        ["staticshare", "--no-dynamic"],
+        ["analyze", "--all-workloads", "--static"],
     ])
     def test_retired_flags_are_argparse_errors(self, argv):
         with pytest.raises(SystemExit) as excinfo:
